@@ -5,14 +5,13 @@ Everything is computed over exact scalar domains (prime fields and the
 rationals); re-running any pipeline yields bit-identical results.
 """
 
-from .cohomology import certify_ulrich, descend_to_enriques, h0_forms_through_points
+from .cohomology import (TOOL_VERSION as __version__, certify_ulrich, descend_to_enriques,
+                         h0_forms_through_points)
 from .fields import QQ, PrimeField
 from .kummer import Genus2Curve, load_corpus_quartic, node_point, verify_sixteen_nodes
 from .picard import (BundleRecipe, DivisorClass, build_theta_star, chi_k3,
                      even_eight_test, hyperplane_class, node_class, numerical_ulrich,
                      pairing, polarization, trope)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BundleRecipe", "DivisorClass", "Genus2Curve", "PrimeField", "QQ",

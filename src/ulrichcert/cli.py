@@ -10,7 +10,7 @@ Exit codes are a stable contract:
     6  even-eight refutation
     7  effectivity refutation
     8  descent input not certified (or missing)
-    9  certificate integrity (digest) failure
+    9  certificate integrity failure (not JSON, malformed, or digest mismatch)
     1  generic check failure in lattice subcommands
 
 Reports are JSON documents with a detachable header (timestamp and tool
@@ -168,9 +168,7 @@ def _cmd_nodes(args) -> int:
 
 def _cmd_certify(args) -> int:
     cfg = _resolve_config(args)
-    cert = cohomology.certify_ulrich(
-        cfg.curve(), cfg.quartic(), cfg.recipe(),
-        picard.PolarizedSurfaceParams(4))
+    cert = cohomology.certify_ulrich(cfg.curve(), cfg.quartic(), cfg.recipe())
     out_path = cfg.out_path or "ulrich_certificate.json"
     cohomology.write_certificate(out_path, cert)
     for record in cert.checks:

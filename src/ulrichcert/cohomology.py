@@ -19,7 +19,6 @@ involution invariance, then the two effectivity values; the verdict is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import datetime
 import hashlib
 import json
@@ -31,9 +30,9 @@ from .kummer import Genus2Curve, NodeVerification, all_node_points, verify_sixte
 from .labels import NODE_LABELS, node_token, parse_node_token
 from .linalg import kernel_basis
 from .picard import (BundleRecipe, EvenEightTester, HALF_EVEN_EIGHT, Involution,
-                     PolarizedSurfaceParams, build_theta_star, chi_k3,
+                     PolarizedSurfaceParams, build_theta_star, chi_k3, format_divisor,
                      is_invariant, pairing, polarization)
-from .polynomials import Poly, format_polynomial, monomial_basis
+from .polynomials import Poly, format_polynomial, monomial_basis, power_product
 
 TOOL_NAME = "ulrichcert"
 TOOL_VERSION = "0.1.0"
@@ -67,15 +66,7 @@ def evaluation_matrix(d: int, points):
     for pt in points:
         if pt.domain != domain:
             raise ValueError("points live in different scalar domains")
-        coords = pt.coordinates
-        row = []
-        for mon in mons:
-            val = domain.one
-            for x, e in zip(coords, mon):
-                for _ in range(e):
-                    val = domain.mul(val, x)
-            row.append(val)
-        rows.append(row)
+        rows.append([power_product(pt.coordinates, mon, domain) for mon in mons])
     return rows, mons
 
 
@@ -123,24 +114,23 @@ class EffectivityValue:
     interpretation: str
 
 
-def _node_support(d, expected_coeff):
-    labels = []
-    for label in NODE_LABELS:
-        c = d.coeff_node(label)
-        if c == expected_coeff:
-            labels.append(label)
-        elif c != 0:
-            return None
-    return tuple(labels)
+def _node_support(d):
+    """Node labels grouped by their nonzero doubled coefficient in d."""
+    support = {}
+    for label, c in zip(NODE_LABELS, d.doubled[1:]):
+        if c:
+            support.setdefault(c, []).append(label)
+    return {c: tuple(labels) for c, labels in support.items()}
 
 
 def check_two_h_minus_m(h, m, points_by_label, ring) -> EffectivityValue:
     """Hyperplane test: 2H - M must reduce to L minus four node classes."""
     d = 2 * h - m
-    labels = _node_support(d, Fraction(-1))
-    if d.coeff_l != 1 or labels is None or len(labels) != 4:
+    support = _node_support(d)
+    if d.doubled[0] != 2 or support.keys() != {-2} or len(support[-2]) != 4:
         raise UnsupportedShapeError(
             "2H - M does not have the shape L minus four distinct nodes")
+    labels = support[-2]
     points = [points_by_label[l] for l in labels]
     sections = section_basis(1, points, ring)
     h0 = len(sections)
@@ -156,13 +146,12 @@ def check_two_h_minus_m(h, m, points_by_label, ring) -> EffectivityValue:
 def check_m_minus_h(h, m, points_by_label, ring) -> EffectivityValue:
     """Quadric test on the double: 2(M - H) + (four nodes) = 2L - (twelve nodes)."""
     dd = 2 * (m - h)
-    twelve = _node_support_signed(dd, Fraction(-1))
-    four = _node_support_signed(dd, Fraction(1))
-    if (dd.coeff_l != 2 or twelve is None or four is None
-            or len(twelve) != 12 or len(four) != 4
-            or set(twelve) | set(four) != set(NODE_LABELS)):
+    support = _node_support(dd)
+    if (dd.doubled[0] != 4 or support.keys() != {-2, 2}
+            or len(support[-2]) != 12 or len(support[2]) != 4):
         raise UnsupportedShapeError(
             "2(M - H) does not have the shape 2L + four nodes - twelve nodes")
+    twelve = support[-2]
     points = [points_by_label[l] for l in twelve]
     sections = section_basis(2, points, ring)
     h0 = len(sections)
@@ -174,17 +163,6 @@ def check_m_minus_h(h, m, points_by_label, ring) -> EffectivityValue:
                     "finite-field-model"),
         interpretation=("M - H is not effective (its double has no sections)" if h0 == 0
                         else "the double of M - H is effective; certification fails"))
-
-
-def _node_support_signed(d, coeff):
-    labels = []
-    for label in NODE_LABELS:
-        c = d.coeff_node(label)
-        if c == coeff:
-            labels.append(label)
-        elif c != 0 and c != -coeff:
-            return None
-    return tuple(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -299,25 +277,24 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
 
     # Even-eight shape: M - H = half the sum of eight nodes.
     difference = m - h
-    if difference.coeff_l == 0:
-        halves = [l for l in NODE_LABELS if difference.coeff_node(l) == Fraction(1, 2)]
-        clean = all(difference.coeff_node(l) in (0, Fraction(1, 2)) for l in NODE_LABELS)
-        if clean and len(halves) == 8:
-            tester = EvenEightTester()
-            divisible = tester.test(halves)
-            cert.checks.append(CheckRecord(
-                name="even-eight-detection",
-                justification="even-eight-complement",
-                inputs={"labels": [node_token(l) for l in halves]},
-                value={"divisible_by_two": divisible},
-                passed=not divisible))
-            if divisible:
-                cert.refutation_reason = REASON_EVEN_EIGHT
-                cert.refutation_witness = {
-                    "labels": [node_token(l) for l in halves],
-                    "reason": "effective by even-eight criterion",
-                }
-                return cert
+    support = _node_support(difference)
+    if difference.doubled[0] == 0 and support.keys() == {1} and len(support[1]) == 8:
+        halves = support[1]
+        tester = EvenEightTester()
+        divisible = tester.test(halves)
+        cert.checks.append(CheckRecord(
+            name="even-eight-detection",
+            justification="even-eight-complement",
+            inputs={"labels": [node_token(l) for l in halves]},
+            value={"divisible_by_two": divisible},
+            passed=not divisible))
+        if divisible:
+            cert.refutation_reason = REASON_EVEN_EIGHT
+            cert.refutation_witness = {
+                "labels": [node_token(l) for l in halves],
+                "reason": "effective by even-eight criterion",
+            }
+            return cert
 
     theta = theta or build_theta_star()
     invariance_ok = True
@@ -436,12 +413,19 @@ def write_certificate(path, cert: UlrichCertificate) -> dict:
 
 def load_certificate_document(path) -> dict:
     with open(path) as handle:
-        document = json.load(handle)
+        try:
+            document = json.load(handle)
+        except ValueError as exc:
+            raise CertificateIntegrityError(f"certificate is not JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise CertificateIntegrityError("certificate is not a JSON object")
     if document.get("format") != CERTIFICATE_FORMAT:
         raise CertificateIntegrityError(f"unexpected format {document.get('format')!r}")
     body = document.get("body")
     if body is None or _digest(body) != document.get("digest"):
         raise CertificateIntegrityError("certificate digest mismatch")
+    if not isinstance(body, dict) or "recipe" not in body:
+        raise CertificateIntegrityError("certificate body has no recipe")
     return document
 
 
@@ -465,11 +449,17 @@ def descend_to_enriques(cert: UlrichCertificate) -> EnriquesReport:
     if cert.verdict != "certified":
         raise UncertifiedCertificateError(
             f"certificate verdict is {cert.verdict!r}; descent needs a certified run")
-    for name in ("involution-fixes-polarization", "involution-fixes-candidate"):
-        if not cert.check(name).passed:
-            raise UncertifiedCertificateError(f"missing invariance: {name}")
+    return _descend(cert.recipe)
+
+
+def _descend(recipe: BundleRecipe) -> EnriquesReport:
+    """The quotient-side report, after re-checking that the recipe class is
+    fixed by the switch involution; the recorded verdict alone is not trusted."""
     h = polarization()
-    m = cert.recipe.divisor()
+    m = recipe.divisor()
+    if not is_invariant(build_theta_star(), m):
+        raise UncertifiedCertificateError(
+            f"the involution does not fix the candidate class {format_divisor(m)}")
     return _descent_report(int(pairing(h, h)), int(pairing(m, h)), int(pairing(m, m)))
 
 
@@ -511,9 +501,7 @@ def descend_from_document(document: dict) -> EnriquesReport:
     recipe = BundleRecipe(
         kind=body["recipe"]["kind"],
         labels=tuple(parse_node_token(t) for t in body["recipe"]["labels"]))
-    h = polarization()
-    m = recipe.divisor()
-    return _descent_report(int(pairing(h, h)), int(pairing(m, h)), int(pairing(m, m)))
+    return _descend(recipe)
 
 
 def report_document(report: EnriquesReport, certificate_digest: str | None = None) -> dict:

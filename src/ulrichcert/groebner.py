@@ -4,7 +4,7 @@ membership, and Hilbert-series codimension/degree extraction.
 The S-pair queue uses the normal selection strategy (smallest lcm degree
 first, ties broken by the lcm exponent tuple and then the pair indices), and
 prunes with the standard product and chain criteria. Output is the reduced
-Groebner basis, which is unique for a fixed monomial order, so the result is
+Groebner basis, which is unique for the fixed grevlex order, so the result is
 independent of generator order.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 
-from .polynomials import GREVLEX, MonomialOrder, Poly
+from .polynomials import Poly, grevlex_key
 
 
 def _monomial_divides(a, b) -> bool:
@@ -34,19 +34,19 @@ def _monomial_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _normalize(terms: dict, order_key, domain) -> dict:
+def _normalize(terms: dict, domain) -> dict:
     """Scale so the leading coefficient is 1."""
-    lm = max(terms, key=order_key)
+    lm = max(terms, key=grevlex_key)
     inv = domain.inv(terms[lm])
     return {m: domain.mul(inv, c) for m, c in terms.items()}
 
 
-def _reduce_terms(f: dict, basis, order_key, domain) -> dict:
+def _reduce_terms(f: dict, basis, domain) -> dict:
     """Full remainder of f modulo a list of monic (lm, terms) pairs."""
     work = dict(f)
     remainder = {}
     while work:
-        m = max(work, key=order_key)
+        m = max(work, key=grevlex_key)
         c = work.pop(m)
         for lm, g in basis:
             if _monomial_divides(lm, m):
@@ -69,7 +69,6 @@ def _reduce_terms(f: dict, basis, order_key, domain) -> dict:
 @dataclass(frozen=True)
 class GroebnerBasis:
     generators: tuple
-    order: MonomialOrder
     reduced: bool = True
 
     @property
@@ -77,16 +76,12 @@ class GroebnerBasis:
         return self.generators[0].ring
 
     def leading_monomials(self):
-        return [g.leading_monomial(self.order) for g in self.generators]
+        return [g.leading_monomial() for g in self.generators]
 
 
-def normal_form(f: Poly, basis, order: MonomialOrder = GREVLEX) -> Poly:
+def normal_form(f: Poly, basis) -> Poly:
     """Remainder of multivariate division of f by a generating set."""
-    if isinstance(basis, GroebnerBasis):
-        order = basis.order
-        gens = basis.generators
-    else:
-        gens = list(basis)
+    gens = basis.generators if isinstance(basis, GroebnerBasis) else list(basis)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return f
@@ -94,12 +89,11 @@ def normal_form(f: Poly, basis, order: MonomialOrder = GREVLEX) -> Poly:
     if f.ring != ring:
         raise ValueError("polynomial and basis live in different rings")
     domain = ring.domain
-    key = order.key
     monic = []
     for g in gens:
-        terms = _normalize(g.terms, key, domain)
-        monic.append((max(terms, key=key), terms))
-    return Poly(ring, _reduce_terms(f.terms, monic, key, domain))
+        terms = _normalize(g.terms, domain)
+        monic.append((max(terms, key=grevlex_key), terms))
+    return Poly(ring, _reduce_terms(f.terms, monic, domain))
 
 
 def _s_pair_terms(fi: dict, fj: dict, lmi, lmj, domain) -> dict:
@@ -119,15 +113,15 @@ def _s_pair_terms(fi: dict, fj: dict, lmi, lmj, domain) -> dict:
     return out
 
 
-def s_polynomial(f: Poly, g: Poly, order: MonomialOrder = GREVLEX) -> Poly:
-    key = order.key
+def s_polynomial(f: Poly, g: Poly) -> Poly:
     domain = f.ring.domain
-    fi = _normalize(f.terms, key, domain)
-    gj = _normalize(g.terms, key, domain)
-    return Poly(f.ring, _s_pair_terms(fi, gj, max(fi, key=key), max(gj, key=key), domain))
+    fi = _normalize(f.terms, domain)
+    gj = _normalize(g.terms, domain)
+    return Poly(f.ring, _s_pair_terms(fi, gj, max(fi, key=grevlex_key),
+                                      max(gj, key=grevlex_key), domain))
 
 
-def buchberger(gens, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
+def buchberger(gens) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -136,12 +130,12 @@ def buchberger(gens, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     if any(g.ring != ring for g in gens):
         raise ValueError("generators live in different rings")
     domain = ring.domain
-    key = order.key
+    key = grevlex_key
 
     basis = []          # list of monic term dicts
     lms = []            # their leading monomials
     for g in gens:
-        terms = _normalize(g.terms, key, domain)
+        terms = _normalize(g.terms, domain)
         basis.append(terms)
         lms.append(max(terms, key=key))
 
@@ -173,9 +167,9 @@ def buchberger(gens, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             continue
         s = _s_pair_terms(basis[i], basis[j], lms[i], lms[j], domain)
         monic_basis = list(zip(lms, basis))
-        h = _reduce_terms(s, monic_basis, key, domain)
+        h = _reduce_terms(s, monic_basis, domain)
         if h:
-            h = _normalize(h, key, domain)
+            h = _normalize(h, domain)
             basis.append(h)
             lms.append(max(h, key=key))
             new = len(basis) - 1
@@ -194,16 +188,16 @@ def buchberger(gens, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     reduced = []
     for idx in keep:
         others = [(lms[k], basis[k]) for k in keep if k != idx]
-        r = _reduce_terms(basis[idx], others, key, domain)
+        r = _reduce_terms(basis[idx], others, domain)
         if r:
-            reduced.append(_normalize(r, key, domain))
+            reduced.append(_normalize(r, domain))
     reduced.sort(key=lambda t: key(max(t, key=key)))
-    return GroebnerBasis(tuple(Poly(ring, t) for t in reduced), order, reduced=True)
+    return GroebnerBasis(tuple(Poly(ring, t) for t in reduced), reduced=True)
 
 
-def ideal_membership(f: Poly, gens, order: MonomialOrder = GREVLEX) -> bool:
+def ideal_membership(f: Poly, gens) -> bool:
     """True iff f lies in the ideal generated by gens."""
-    return normal_form(f, buchberger(gens, order), order).is_zero()
+    return normal_form(f, buchberger(gens)).is_zero()
 
 
 # ---------------------------------------------------------------------------

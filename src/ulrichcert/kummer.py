@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import corpus
 from .fields import QQ, PrimeField
 from .groebner import buchberger, hilbert_degree_codim
-from .labels import NODE_LABELS, node_token, validate_node_label
+from .labels import NODE_LABELS, validate_node_label
 from .polynomials import Poly, PolyRing, ProjectivePoint, parse_polynomial, partial_derivatives
 
 QUARTIC_VARIABLES = ("X", "Y", "Z", "W")
@@ -161,14 +161,6 @@ def verify_sixteen_nodes(quartic: Poly, curve: Genus2Curve,
     return NodeVerification(passed=passed, distinct=distinct,
                             node_results=node_results, first_failure=first_failure,
                             codim=codim, degree=degree, points=points)
-
-
-def node_table(curve: Genus2Curve, domain) -> list:
-    """Rows (token, coordinate strings) for the sixteen nodes."""
-    rows = []
-    for label, pt in all_node_points(curve, domain).items():
-        rows.append((node_token(label), tuple(str(c) for c in pt.coordinates)))
-    return rows
 
 
 def default_curve() -> Genus2Curve:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import corpus
-from .linalg import determinant, hermite_normal_form, hnf_contains, integer_kernel, signature
+from .linalg import (determinant, hermite_normal_form, hnf_contains, identity, integer_kernel,
+                     matmul, matvec, signature, transpose)
 
 
 @dataclass(frozen=True)
@@ -103,32 +104,16 @@ class LatticeInvolution:
         n = lattice.rank
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("involution matrix has wrong shape")
-        square = _matmul(matrix, matrix)
-        if square != _identity(n):
+        if matmul(matrix, matrix) != identity(n):
             raise ValueError("matrix squared is not the identity")
-        congruent = _matmul(_matmul(_transpose(matrix), lattice.gram), matrix)
+        congruent = matmul(matmul(transpose(matrix), lattice.gram), matrix)
         if congruent != lattice.gram:
             raise ValueError("matrix does not preserve the gram form")
         self.lattice = lattice
         self.matrix = matrix
 
     def apply(self, vector):
-        n = self.lattice.rank
-        return tuple(sum(self.matrix[i][j] * vector[j] for j in range(n))
-                     for i in range(n))
-
-
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _transpose(m):
-    return tuple(zip(*m))
-
-
-def _matmul(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+        return matvec(self.matrix, vector)
 
 
 def build_vartheta(lattice: LatticeGram | None = None) -> LatticeInvolution:

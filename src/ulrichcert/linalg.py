@@ -1,5 +1,5 @@
-"""Exact linear algebra: Gaussian elimination over a field domain and
-Hermite normal form over the integers.
+"""Exact linear algebra: Gaussian elimination over a field domain, matrix
+products, and Hermite normal form over the integers.
 
 Conventions, fixed so that every routine is bit-for-bit deterministic:
 
@@ -60,19 +60,21 @@ def kernel_basis(rows, ncols, domain):
     return basis
 
 
-def solve_in_row_span(rows, ncols, domain, target):
-    """Coefficients c with c . rows = target, or None if target is outside."""
-    mat, pivots = rref(rows, ncols, domain)
-    t = [domain.coerce(x) for x in target]
-    coeffs = []
-    for r, pc in enumerate(pivots):
-        f = t[pc]
-        coeffs.append(f)
-        if not domain.is_zero(f):
-            t = [domain.sub(a, domain.mul(f, b)) for a, b in zip(t, mat[r])]
-    if any(not domain.is_zero(x) for x in t):
-        return None
-    return coeffs
+def identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def transpose(m):
+    return tuple(zip(*m))
+
+
+def matmul(a, b):
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def matvec(m, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
 # ---------------------------------------------------------------------------

@@ -11,64 +11,79 @@ free switch involution acts on the lattice by exchanging each node with a
 trope according to a sixteen-row table and sending L to 3L - E_0 - sum E_ij;
 its involution and isometry properties are asserted after construction
 rather than assumed.
+
+Every coefficient has denominator 1 or 2, so classes are stored as doubled
+integer coordinates and the switch involution theta as the integer matrix
+2 theta; all lattice arithmetic is then exact integer arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
-import re
 
 from .labels import (NODE_LABELS, TROPE_LABELS, node_token, parse_node_token,
                      parse_trope_token, validate_node_label)
-from .linalg import hermite_normal_form, hnf_contains
+from .linalg import hermite_normal_form, hnf_contains, identity, matmul, matvec, transpose
+from .polynomials import split_terms
 
 BASIS = ("L",) + NODE_LABELS
 _INDEX = {name: k for k, name in enumerate(BASIS)}
 RANK = len(BASIS)
 
 # Gram diagonal: L^2 = 4, each node squares to -2, mixed products vanish.
-_GRAM_DIAG = (Fraction(4),) + (Fraction(-2),) * 16
+_GRAM_DIAG = (4,) + (-2,) * 16
+_GRAM = tuple(tuple(g * x for x in row) for g, row in zip(_GRAM_DIAG, identity(RANK)))
+
+
+def _doubled(c) -> int:
+    if isinstance(c, int):
+        return 2 * c
+    c = Fraction(c)
+    if c.denominator not in (1, 2):
+        raise ValueError(f"coefficient {c} has denominator outside {{1, 2}}")
+    return int(2 * c)
 
 
 class DivisorClass:
-    """An element of the Picard Q-space; coefficients have denominator 1 or 2."""
+    """An element of the Picard Q-space; coefficients have denominator 1 or 2.
 
-    __slots__ = ("coeffs",)
+    ``doubled`` holds twice the coefficients in the basis BASIS, as integers.
+    """
+
+    __slots__ = ("doubled",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != RANK:
+        doubled = tuple(_doubled(c) for c in coeffs)
+        if len(doubled) != RANK:
             raise ValueError(f"expected {RANK} coefficients")
-        for c in coeffs:
-            if c.denominator not in (1, 2):
-                raise ValueError(f"coefficient {c} has denominator outside {{1, 2}}")
-        self.coeffs = coeffs
+        self.doubled = doubled
 
-    @property
-    def coeff_l(self) -> Fraction:
-        return self.coeffs[0]
-
-    def coeff_node(self, label) -> Fraction:
-        return self.coeffs[_INDEX[validate_node_label(label)]]
+    @classmethod
+    def from_doubled(cls, doubled) -> "DivisorClass":
+        d = cls.__new__(cls)
+        d.doubled = tuple(doubled)
+        return d
 
     def __add__(self, other):
-        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass.from_doubled(a + b for a, b in zip(self.doubled, other.doubled))
 
     def __sub__(self, other):
-        return DivisorClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass.from_doubled(a - b for a, b in zip(self.doubled, other.doubled))
 
     def __neg__(self):
-        return DivisorClass(tuple(-a for a in self.coeffs))
+        return DivisorClass.from_doubled(-a for a in self.doubled)
 
     def __rmul__(self, scalar):
-        return DivisorClass(tuple(Fraction(scalar) * a for a in self.coeffs))
+        if isinstance(scalar, int):
+            return DivisorClass.from_doubled(scalar * a for a in self.doubled)
+        return DivisorClass(Fraction(scalar) * Fraction(a, 2) for a in self.doubled)
 
     def __eq__(self, other):
-        return isinstance(other, DivisorClass) and other.coeffs == self.coeffs
+        return isinstance(other, DivisorClass) and other.doubled == self.doubled
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.doubled)
 
     def __repr__(self):
         return f"DivisorClass({format_divisor(self)})"
@@ -84,42 +99,35 @@ def hyperplane_class() -> DivisorClass:
 
 
 def node_class(label) -> DivisorClass:
-    coeffs = [Fraction(0)] * RANK
-    coeffs[_INDEX[validate_node_label(label)]] = Fraction(1)
-    return DivisorClass(coeffs)
+    doubled = [0] * RANK
+    doubled[_INDEX[validate_node_label(label)]] = 2
+    return DivisorClass.from_doubled(doubled)
 
 
 def polarization() -> DivisorClass:
     """H = 2L - (1/2) sum of all sixteen nodes, the degree-8 polarization."""
-    return DivisorClass((2,) + (Fraction(-1, 2),) * 16)
+    return DivisorClass.from_doubled((4,) + (-1,) * 16)
 
 
 def pairing(a: DivisorClass, b: DivisorClass) -> Fraction:
-    return sum(d * x * y for d, x, y in zip(_GRAM_DIAG, a.coeffs, b.coeffs))
+    return Fraction(sum(g * x * y for g, x, y in zip(_GRAM_DIAG, a.doubled, b.doubled)), 4)
 
 
 def trope(label) -> DivisorClass:
     """The half-integer trope class for an odd (T_i) or even (T_ij6) label."""
     if label not in TROPE_LABELS:
         raise ValueError(f"invalid trope label {label!r}")
-    total = hyperplane_class()
     if isinstance(label, int):
-        total = total - node_class((0,))
-        for k in range(1, 7):
-            if k != label:
-                total = total - node_class(tuple(sorted((label, k))))
+        nodes = [(0,)] + [tuple(sorted((label, k))) for k in range(1, 7) if k != label]
     else:
         i, j, _ = label
         l, m, n = (k for k in range(1, 6) if k not in (i, j))
-        for pair in ((i, 6), (j, 6), (i, j), (l, m), (m, n), (l, n)):
-            total = total - node_class(tuple(sorted(pair)))
-    return Fraction(1, 2) * total
-
-
-def trope_node_labels(label):
-    """The six node labels lying on the given trope."""
-    t = trope(label)
-    return tuple(lab for lab in NODE_LABELS if t.coeff_node(lab) != 0)
+        pairs = ((i, 6), (j, 6), (i, j), (l, m), (m, n), (l, n))
+        nodes = [tuple(sorted(pair)) for pair in pairs]
+    doubled = [1] + [0] * 16
+    for node in nodes:
+        doubled[_INDEX[node]] = -1
+    return DivisorClass.from_doubled(doubled)
 
 
 # Node <-> trope exchange table of the switch attached to the even
@@ -145,34 +153,37 @@ THETA_SWAP = {
 
 
 class Involution:
-    """A linear involutive isometry of the Picard Q-space."""
+    """A linear involutive isometry of the Picard Q-space.
 
-    __slots__ = ("columns",)
+    ``matrix`` is A = 2 theta in the basis BASIS, an integer matrix acting on
+    doubled coordinates. theta^2 = 1 and theta^T G theta = G become the
+    integer identities A A = 4 I and A^T G A = 4 G.
+    """
+
+    __slots__ = ("matrix",)
 
     def __init__(self, columns):
         """columns[k] is the image of basis vector k, as a DivisorClass."""
-        columns = tuple(columns)
+        columns = list(columns)
         if len(columns) != RANK:
             raise ValueError(f"expected {RANK} columns")
-        self.columns = columns
-        for k in range(RANK):
-            unit = [Fraction(0)] * RANK
-            unit[k] = Fraction(1)
-            if self.apply(columns[k]).coeffs != tuple(unit):
-                raise ValueError("map is not an involution")
-        basis_classes = [DivisorClass(tuple(Fraction(1) if i == k else Fraction(0)
-                                            for i in range(RANK))) for k in range(RANK)]
-        for a, b in itertools.combinations_with_replacement(range(RANK), 2):
-            if pairing(columns[a], columns[b]) != pairing(basis_classes[a], basis_classes[b]):
-                raise ValueError("map does not preserve the intersection form")
+        matrix = transpose([c.doubled for c in columns])
+        if matmul(matrix, matrix) != _scaled(4, identity(RANK)):
+            raise ValueError("map is not an involution")
+        if matmul(matmul(transpose(matrix), _GRAM), matrix) != _scaled(4, _GRAM):
+            raise ValueError("map does not preserve the intersection form")
+        self.matrix = matrix
 
     def apply(self, d: DivisorClass) -> DivisorClass:
-        out = [Fraction(0)] * RANK
-        for k, c in enumerate(d.coeffs):
-            if c:
-                for i, x in enumerate(self.columns[k].coeffs):
-                    out[i] += c * x
-        return DivisorClass(out)
+        image = matvec(self.matrix, d.doubled)
+        odd = next((x for x in image if x % 2), None)
+        if odd is not None:
+            raise ValueError(f"coefficient {Fraction(odd, 4)} has denominator outside {{1, 2}}")
+        return DivisorClass.from_doubled(x // 2 for x in image)
+
+
+def _scaled(k, m):
+    return tuple(tuple(k * x for x in row) for row in m)
 
 
 def build_theta_star() -> Involution:
@@ -183,14 +194,12 @@ def build_theta_star() -> Involution:
     doubles as a consistency check on the table itself.
     """
     image_of_l = DivisorClass((3,) + (-1,) * 16)
-    columns = [image_of_l]
-    for label in NODE_LABELS:
-        columns.append(trope(THETA_SWAP[label]))
-    return Involution(columns)
+    return Involution([image_of_l] + [trope(THETA_SWAP[label]) for label in NODE_LABELS])
 
 
 def is_invariant(inv: Involution, d: DivisorClass) -> bool:
-    return inv.apply(d) == d
+    """theta d = d, tested as A v = 2 v on the doubled coordinates v."""
+    return matvec(inv.matrix, d.doubled) == tuple(2 * x for x in d.doubled)
 
 
 def chi_k3(d: DivisorClass) -> Fraction:
@@ -280,13 +289,12 @@ def default_picard_generators():
     return gens
 
 
-def _doubled_integer_vector(d: DivisorClass):
-    out = []
-    for c in d.coeffs:
-        doubled = 2 * c
-        assert doubled.denominator == 1
-        out.append(int(doubled))
-    return out
+def _half_node_sum(labels):
+    """Doubled coordinates of half the sum of the given node classes."""
+    doubled = [0] * RANK
+    for label in labels:
+        doubled[_INDEX[label]] = 1
+    return doubled
 
 
 class EvenEightTester:
@@ -296,33 +304,19 @@ class EvenEightTester:
         gens = list(generators) if generators is not None else default_picard_generators()
         if not gens:
             raise ValueError("empty generator list")
-        rows = [_doubled_integer_vector(g) for g in gens]
-        self._hnf, self._pivots = hermite_normal_form(rows)
+        self._hnf, self._pivots = hermite_normal_form([g.doubled for g in gens])
 
     def test(self, labels) -> bool:
         labels = [validate_node_label(l) for l in labels]
         if len(set(labels)) != 8:
             raise ValueError("an even-eight test needs exactly 8 distinct node labels")
-        half_sum = Fraction(1, 2) * sum(
-            (node_class(l) for l in labels[1:]), node_class(labels[0]))
-        return hnf_contains(self._hnf, self._pivots, _doubled_integer_vector(half_sum))
+        return hnf_contains(self._hnf, self._pivots, _half_node_sum(labels))
 
     def sweep(self):
-        """All positive 8-subsets of the sixteen node labels.
-
-        Equivalent to calling test() on each of the 12870 subsets; the
-        doubled coordinate vector of half a node sum is just an indicator
-        vector, so the sweep builds those directly.
-        """
-        index = {label: k + 1 for k, label in enumerate(NODE_LABELS)}
-        positives = []
-        for combo in itertools.combinations(NODE_LABELS, 8):
-            target = [0] * (len(NODE_LABELS) + 1)
-            for label in combo:
-                target[index[label]] = 1
-            if hnf_contains(self._hnf, self._pivots, target):
-                positives.append(frozenset(combo))
-        return positives
+        """All positive 8-subsets of the sixteen node labels, as test() finds
+        them on each of the 12870 subsets."""
+        return [frozenset(combo) for combo in itertools.combinations(NODE_LABELS, 8)
+                if hnf_contains(self._hnf, self._pivots, _half_node_sum(combo))]
 
 
 def even_eight_test(labels, generators=None) -> bool:
@@ -336,11 +330,12 @@ def even_eight_test(labels, generators=None) -> bool:
 
 def incidence_table():
     """Pairing values (node, trope), a 16 x 16 table of zeros and ones."""
+    tropes = {tl: trope(tl) for tl in TROPE_LABELS}
     table = {}
     for nl in NODE_LABELS:
         e = node_class(nl)
-        for tl in TROPE_LABELS:
-            value = pairing(e, trope(tl))
+        for tl, t in tropes.items():
+            value = pairing(e, t)
             assert value.denominator == 1
             table[(nl, tl)] = int(value)
     return table
@@ -362,33 +357,17 @@ def incidence_is_16_6(table=None) -> bool:
 # Divisor expressions
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
-
-
 def parse_divisor(text: str) -> DivisorClass:
     """Parse expressions like ``3*L - E0 - 1/2*E12 + T6``.
 
     Tokens are L, the node tokens E0, E12..E56 and the trope tokens T1..T6,
     T126..T456; trope tokens are normalized into the standard basis.
     """
-    compact = "".join(text.split())
-    if not compact:
-        return zero_class()
     total = zero_class()
-    pos = 0
-    for match in _TERM_RE.finditer(compact):
-        if match.start() != pos:
-            raise ValueError(f"cannot parse divisor near {compact[pos:]!r}")
-        pos = match.end()
-        chunk = match.group()
-        sign = Fraction(1)
-        if chunk[0] in "+-":
-            if chunk[0] == "-":
-                sign = Fraction(-1)
-            chunk = chunk[1:]
-        parts = chunk.split("*")
+    for term in split_terms(text, "divisor expression"):
+        parts = term.lstrip("+-").split("*")
         token = parts[-1]
-        coeff = sign
+        coeff = Fraction(-1 if term[0] == "-" else 1)
         for factor in parts[:-1]:
             coeff *= Fraction(factor)
         if token == "L":
@@ -400,18 +379,17 @@ def parse_divisor(text: str) -> DivisorClass:
         else:
             raise ValueError(f"unknown divisor token {token!r}")
         total = total + coeff * base
-    if pos != len(compact):
-        raise ValueError(f"trailing garbage in divisor expression: {compact[pos:]!r}")
     return total
 
 
 def format_divisor(d: DivisorClass) -> str:
-    if all(c == 0 for c in d.coeffs):
+    if not any(d.doubled):
         return "0"
     pieces = []
-    for name, c in zip(BASIS, d.coeffs):
-        if c == 0:
+    for name, doubled in zip(BASIS, d.doubled):
+        if doubled == 0:
             continue
+        c = Fraction(doubled, 2)
         token = "L" if name == "L" else node_token(name)
         mag = abs(c)
         body = token if mag == 1 else f"{mag}*{token}"

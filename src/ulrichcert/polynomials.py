@@ -21,26 +21,6 @@ def grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def lex_key(m: Monomial):
-    return m
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A monomial order on exponent tuples; variable 0 has highest precedence."""
-
-    kind: str  # "grevlex" or "lex"
-
-    def key(self, m: Monomial):
-        if self.kind == "grevlex":
-            return grevlex_key(m)
-        return lex_key(m)
-
-
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
-
-
 @dataclass(frozen=True)
 class PolyRing:
     """Variable names plus a scalar domain."""
@@ -96,10 +76,10 @@ class Poly:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
+    def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.terms, key=grevlex_key)
 
     def coefficient(self, mon: Monomial):
         return self.terms.get(tuple(mon), self.ring.domain.zero)
@@ -174,12 +154,17 @@ class Poly:
         coords = [dom.coerce(x) for x in coords]
         total = dom.zero
         for m, c in self.terms.items():
-            v = c
-            for x, e in zip(coords, m):
-                for _ in range(e):
-                    v = dom.mul(v, x)
-            total = dom.add(total, v)
+            total = dom.add(total, dom.mul(c, power_product(coords, m, dom)))
         return total
+
+
+def power_product(coords, mon: Monomial, domain):
+    """The monomial mon evaluated at coords, by repeated multiplication."""
+    v = domain.one
+    for x, e in zip(coords, mon):
+        for _ in range(e):
+            v = domain.mul(v, x)
+    return v
 
 
 def partial_derivatives(f: Poly):
@@ -234,28 +219,36 @@ _TERM_RE = re.compile(r"[+-]?[^+-]+")
 _FACTOR_RE = re.compile(r"^([A-Za-z_]\w*)(?:\^(\d+))?$")
 
 
-def parse_polynomial(text: str, ring: PolyRing) -> Poly:
-    """Parse a sum of ``c*V1^e1*V2^e2`` terms into a polynomial."""
+def split_terms(text: str, what: str) -> list:
+    """The signed terms of a sum, ``['3*X^2', '-Y']`` for ``3*X^2 - Y``.
+
+    Whitespace is dropped and each term keeps its sign character, if it has
+    one; ``what`` names the input in the error raised for text that is not a
+    sum of terms.
+    """
     compact = "".join(text.split())
-    if not compact:
-        return ring.zero()
-    var_index = {name: i for i, name in enumerate(ring.variables)}
     terms = []
     pos = 0
     for match in _TERM_RE.finditer(compact):
         if match.start() != pos:
-            raise ValueError(f"cannot parse polynomial near {compact[pos:pos+20]!r}")
+            raise ValueError(f"cannot parse {what} near {compact[pos:pos+20]!r}")
         pos = match.end()
-        chunk = match.group()
-        sign = 1
-        if chunk[0] in "+-":
-            sign = -1 if chunk[0] == "-" else 1
-            chunk = chunk[1:]
-        coeff = 1
+        terms.append(match.group())
+    if pos != len(compact):
+        raise ValueError(f"trailing garbage in {what}: {compact[pos:]!r}")
+    return terms
+
+
+def parse_polynomial(text: str, ring: PolyRing) -> Poly:
+    """Parse a sum of ``c*V1^e1*V2^e2`` terms into a polynomial."""
+    var_index = {name: i for i, name in enumerate(ring.variables)}
+    terms = []
+    for term in split_terms(text, "polynomial"):
+        coeff = -1 if term[0] == "-" else 1
         exps = [0] * ring.nvars
-        for factor in chunk.split("*"):
+        for factor in term.lstrip("+-").split("*"):
             if not factor:
-                raise ValueError(f"empty factor in term {match.group()!r}")
+                raise ValueError(f"empty factor in term {term!r}")
             if factor[0].isdigit():
                 if not factor.isdigit():
                     raise ValueError(f"bad coefficient {factor!r}")
@@ -265,19 +258,17 @@ def parse_polynomial(text: str, ring: PolyRing) -> Poly:
                 if not fm or fm.group(1) not in var_index:
                     raise ValueError(f"unknown variable in factor {factor!r}")
                 exps[var_index[fm.group(1)]] += int(fm.group(2) or 1)
-        terms.append((tuple(exps), sign * coeff))
-    if pos != len(compact):
-        raise ValueError(f"trailing garbage in polynomial: {compact[pos:]!r}")
+        terms.append((tuple(exps), coeff))
     return ring.poly(terms)
 
 
-def format_polynomial(f: Poly, order: MonomialOrder = GREVLEX) -> str:
+def format_polynomial(f: Poly) -> str:
     """Canonical text form: grevlex-descending terms, '^' powers, '*' products."""
     if f.is_zero():
         return "0"
     names = f.ring.variables
     pieces = []
-    for mon in sorted(f.terms, key=order.key, reverse=True):
+    for mon in sorted(f.terms, key=grevlex_key, reverse=True):
         coeff = f.terms[mon]
         text = str(coeff)
         neg = text.startswith("-")

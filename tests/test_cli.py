@@ -1,7 +1,11 @@
+import hashlib
 import json
+import pathlib
+import re
 
 import pytest
 
+import ulrichcert
 from ulrichcert import cli
 from ulrichcert.cohomology import certify_ulrich, write_certificate
 from ulrichcert.kummer import default_curve, default_field, load_corpus_quartic
@@ -187,3 +191,48 @@ def test_inline_quartic_source(tmp_path):
     bad = cli.RunConfig(quartic_source="surprise:X")
     with pytest.raises(ValueError):
         bad.quartic()
+
+
+NON_INVARIANT_LABELS = ["E0", "E12", "E13", "E14", "E15", "E16",
+                        "E23", "E24", "E25", "E26", "E34", "E35"]
+
+
+def write_with_digest(path, document):
+    """Write a document whose digest matches its (possibly edited) body."""
+    canonical = json.dumps(document["body"], sort_keys=True, separators=(",", ":"))
+    document["digest"] = hashlib.sha256(canonical.encode()).hexdigest()
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+def test_descend_rechecks_invariance_of_certified_body(tmp_path, capsys):
+    document = json.loads(certified_certificate_path(tmp_path).read_text())
+    document["body"]["recipe"]["labels"] = NON_INVARIANT_LABELS
+    path = write_with_digest(tmp_path / "forged.json", document)
+    assert cli.main(["descend", path]) == cli.EXIT_UNCERTIFIED
+    assert "Ulrich" not in capsys.readouterr().out
+
+
+def test_descend_body_without_recipe_is_integrity_error(tmp_path, capsys):
+    document = json.loads(certified_certificate_path(tmp_path).read_text())
+    del document["body"]["recipe"]
+    path = write_with_digest(tmp_path / "norecipe.json", document)
+    assert cli.main(["descend", path]) == cli.EXIT_INTEGRITY
+
+
+def test_descend_json_list_is_integrity_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2, 3]\n")
+    assert cli.main(["descend", str(path)]) == cli.EXIT_INTEGRITY
+
+
+def test_descend_non_json_is_integrity_error(tmp_path, capsys):
+    path = tmp_path / "garbage.json"
+    path.write_text("this is not a certificate\n")
+    assert cli.main(["descend", str(path)]) == cli.EXIT_INTEGRITY
+
+
+def test_version_matches_package_metadata():
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M).group(1)
+    assert ulrichcert.__version__ == declared

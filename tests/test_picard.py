@@ -210,3 +210,22 @@ def test_recipe_validation():
 
 def test_default_generator_count():
     assert len(default_picard_generators()) == 33
+
+
+def test_classes_store_doubled_integers():
+    assert node_class((1, 2)).doubled == (0, 0, 2) + (0,) * 14
+    assert H.doubled == (4,) + (-1,) * 16
+    assert all(type(x) is int for x in (Fraction(1, 2) * M).doubled)
+
+
+def test_non_isometric_involution_rejected():
+    # swapping L and E0 squares to the identity but changes L^2 = 4 into -2
+    columns = [node_class((0,)), L] + [node_class(l) for l in NODE_LABELS[1:]]
+    with pytest.raises(ValueError, match="intersection form"):
+        Involution(columns)
+
+
+def test_involution_image_with_quarter_coefficient_raises(theta):
+    # theta(E0 / 2) = T456 / 2 has quarter coefficients
+    with pytest.raises(ValueError, match="denominator"):
+        theta.apply(Fraction(1, 2) * node_class((0,)))
