@@ -26,12 +26,12 @@ import os
 import tempfile
 
 from .enriques import DescentInference, EnriquesClass, chi_enriques, halve, ulrich_transfer
-from .kummer import Genus2Curve, NodeVerification, all_node_points, verify_sixteen_nodes
+from .kummer import Genus2Curve, all_node_points, verify_sixteen_nodes
 from .labels import NODE_LABELS, node_token, parse_node_token
 from .linalg import kernel_basis
-from .picard import (BundleRecipe, EvenEightTester, HALF_EVEN_EIGHT, Involution,
-                     PolarizedSurfaceParams, build_theta_star, chi_k3, format_divisor,
-                     is_invariant, pairing, polarization)
+from .picard import (BundleRecipe, EvenEightTester, HALF_EVEN_EIGHT, PolarizedSurfaceParams,
+                     build_theta_star, chi_k3, format_divisor, is_invariant, pairing,
+                     polarization)
 from .polynomials import Poly, format_polynomial, monomial_basis, power_product
 
 TOOL_NAME = "ulrichcert"
@@ -75,8 +75,6 @@ def h0_forms_through_points(d: int, points, domain=None) -> int:
     points = list(points)
     if len(set(points)) != len(points):
         raise ValueError("points must be pairwise distinct")
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
     rows, mons = evaluation_matrix(d, points)
     if not rows:
         return len(mons)
@@ -91,11 +89,8 @@ def section_basis(d: int, points, ring) -> list:
         raise ValueError("points must be pairwise distinct")
     rows, mons = evaluation_matrix(d, points)
     dom = ring.domain
-    vectors = (kernel_basis(rows, len(mons), dom) if rows
-               else [[dom.one if i == j else dom.zero for i in range(len(mons))]
-                     for j in range(len(mons))])
     return [ring.poly({m: c for m, c in zip(mons, vec) if not dom.is_zero(c)})
-            for vec in vectors]
+            for vec in kernel_basis(rows, len(mons), dom)]
 
 
 # ---------------------------------------------------------------------------
@@ -123,46 +118,48 @@ def _node_support(d):
     return {c: tuple(labels) for c, labels in support.items()}
 
 
+def _sections_through_nodes(d, points_by_label, ring, *, l_doubled, shape, degree,
+                           shape_error, name, inferences, interpretations):
+    """Effectivity value of the class d through forms of the given degree.
+
+    d must be (l_doubled / 2) L plus node classes, with ``shape`` mapping each
+    doubled node coefficient to its number of nodes; the forms are those
+    through the nodes whose coefficient is -1.
+    """
+    support = _node_support(d)
+    if d.doubled[0] != l_doubled or {c: len(ls) for c, ls in support.items()} != shape:
+        raise UnsupportedShapeError(shape_error)
+    labels = support[-2]
+    sections = section_basis(degree, [points_by_label[l] for l in labels], ring)
+    h0 = len(sections)
+    return EffectivityValue(
+        name=name, degree=degree, labels=labels, h0=h0,
+        witness=format_polynomial(sections[0]) if sections else None,
+        passed=h0 == 0, inferences=inferences,
+        interpretation=interpretations[0] if h0 == 0 else interpretations[1])
+
+
 def check_two_h_minus_m(h, m, points_by_label, ring) -> EffectivityValue:
     """Hyperplane test: 2H - M must reduce to L minus four node classes."""
-    d = 2 * h - m
-    support = _node_support(d)
-    if d.doubled[0] != 2 or support.keys() != {-2} or len(support[-2]) != 4:
-        raise UnsupportedShapeError(
-            "2H - M does not have the shape L minus four distinct nodes")
-    labels = support[-2]
-    points = [points_by_label[l] for l in labels]
-    sections = section_basis(1, points, ring)
-    h0 = len(sections)
-    witness = format_polynomial(sections[0]) if sections else None
-    return EffectivityValue(
+    return _sections_through_nodes(
+        2 * h - m, points_by_label, ring, l_doubled=2, shape={-2: 4}, degree=1,
+        shape_error="2H - M does not have the shape L minus four distinct nodes",
         name="no-hyperplane-through-four-nodes",
-        degree=1, labels=labels, h0=h0, witness=witness, passed=h0 == 0,
         inferences=("sections-through-nodes", "finite-field-model"),
-        interpretation=("2H - M is not effective" if h0 == 0 else
-                        "a hyperplane through the four nodes exists; 2H - M is effective"))
+        interpretations=("2H - M is not effective",
+                         "a hyperplane through the four nodes exists; 2H - M is effective"))
 
 
 def check_m_minus_h(h, m, points_by_label, ring) -> EffectivityValue:
     """Quadric test on the double: 2(M - H) + (four nodes) = 2L - (twelve nodes)."""
-    dd = 2 * (m - h)
-    support = _node_support(dd)
-    if (dd.doubled[0] != 4 or support.keys() != {-2, 2}
-            or len(support[-2]) != 12 or len(support[2]) != 4):
-        raise UnsupportedShapeError(
-            "2(M - H) does not have the shape 2L + four nodes - twelve nodes")
-    twelve = support[-2]
-    points = [points_by_label[l] for l in twelve]
-    sections = section_basis(2, points, ring)
-    h0 = len(sections)
-    witness = format_polynomial(sections[0]) if sections else None
-    return EffectivityValue(
+    return _sections_through_nodes(
+        2 * (m - h), points_by_label, ring, l_doubled=4, shape={-2: 12, 2: 4}, degree=2,
+        shape_error="2(M - H) does not have the shape 2L + four nodes - twelve nodes",
         name="no-quadric-through-twelve-nodes",
-        degree=2, labels=twelve, h0=h0, witness=witness, passed=h0 == 0,
         inferences=("doubling", "exceptional-twist", "sections-through-nodes",
                     "finite-field-model"),
-        interpretation=("M - H is not effective (its double has no sections)" if h0 == 0
-                        else "the double of M - H is effective; certification fails"))
+        interpretations=("M - H is not effective (its double has no sections)",
+                         "the double of M - H is effective; certification fails"))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +204,7 @@ REASON_EFFECTIVITY = "effectivity"
 
 def certify_ulrich(curve: Genus2Curve, quartic: Poly,
                    recipe: BundleRecipe | None = None,
-                   params: PolarizedSurfaceParams | None = None,
-                   node_report: NodeVerification | None = None,
-                   theta: Involution | None = None) -> UlrichCertificate:
+                   params: PolarizedSurfaceParams | None = None) -> UlrichCertificate:
     """Run the full certification chain for the candidate class.
 
     Chain order: node verification, numerical conditions, even-eight shape
@@ -226,8 +221,7 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
     domain = quartic.ring.domain
     prime = getattr(domain, "p", None)
 
-    if node_report is None:
-        node_report = verify_sixteen_nodes(quartic, curve)
+    node_report = verify_sixteen_nodes(quartic, curve)
     cert = UlrichCertificate(
         prime=prime,
         roots=tuple(str(r) for r in curve.roots),
@@ -296,7 +290,7 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
             }
             return cert
 
-    theta = theta or build_theta_star()
+    theta = build_theta_star()
     invariance_ok = True
     for name, cls in (("involution-fixes-polarization", h),
                       ("involution-fixes-candidate", m)):
@@ -376,10 +370,10 @@ def certificate_body(cert: UlrichCertificate) -> dict:
     }
 
 
-def certificate_document(cert: UlrichCertificate) -> dict:
-    body = certificate_body(cert)
+def _document(fmt: str, body: dict) -> dict:
+    """A serialized document: format, detachable header, body and its digest."""
     return {
-        "format": CERTIFICATE_FORMAT,
+        "format": fmt,
         "header": {
             "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "tool": f"{TOOL_NAME} {TOOL_VERSION}",
@@ -387,6 +381,10 @@ def certificate_document(cert: UlrichCertificate) -> dict:
         "body": body,
         "digest": _digest(body),
     }
+
+
+def certificate_document(cert: UlrichCertificate) -> dict:
+    return _document(CERTIFICATE_FORMAT, certificate_body(cert))
 
 
 def write_json_atomic(path, document: dict):
@@ -460,10 +458,7 @@ def _descend(recipe: BundleRecipe) -> EnriquesReport:
     if not is_invariant(build_theta_star(), m):
         raise UncertifiedCertificateError(
             f"the involution does not fix the candidate class {format_divisor(m)}")
-    return _descent_report(int(pairing(h, h)), int(pairing(m, h)), int(pairing(m, m)))
-
-
-def _descent_report(h_square: int, m_dot_h: int, m_square: int) -> EnriquesReport:
+    h_square, m_dot_h, m_square = int(pairing(h, h)), int(pairing(m, h)), int(pairing(m, m))
     hy2 = halve(h_square)
     n_dot_h = halve(m_dot_h)
     n2 = halve(m_square)
@@ -498,9 +493,13 @@ def descend_from_document(document: dict) -> EnriquesReport:
     if body.get("verdict") != "certified":
         raise UncertifiedCertificateError(
             f"certificate verdict is {body.get('verdict')!r}")
-    recipe = BundleRecipe(
-        kind=body["recipe"]["kind"],
-        labels=tuple(parse_node_token(t) for t in body["recipe"]["labels"]))
+    try:
+        recipe = BundleRecipe(
+            kind=body["recipe"]["kind"],
+            labels=tuple(parse_node_token(t) for t in body["recipe"]["labels"]))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CertificateIntegrityError(
+            f"certificate body has a malformed recipe: {exc!r}") from exc
     return _descend(recipe)
 
 
@@ -523,12 +522,4 @@ def report_document(report: EnriquesReport, certificate_digest: str | None = Non
         ],
         "conclusion": report.conclusion,
     }
-    return {
-        "format": REPORT_FORMAT,
-        "header": {
-            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "tool": f"{TOOL_NAME} {TOOL_VERSION}",
-        },
-        "body": body,
-        "digest": _digest(body),
-    }
+    return _document(REPORT_FORMAT, body)

@@ -1,9 +1,14 @@
 """Buchberger Groebner bases over a field, with normal forms, ideal
 membership, and Hilbert-series codimension/degree extraction.
 
-The S-pair queue uses the normal selection strategy (smallest lcm degree
-first, ties broken by the lcm exponent tuple and then the pair indices), and
-prunes with the standard product and chain criteria. Output is the reduced
+The basis under construction is one list of monic (leading monomial, terms)
+pairs. The S-pair queue is one dict from each unhandled index pair to its
+selection key (lcm degree, lcm exponent tuple, pair indices), computed once
+when the pair is created. Leading monomials never change, so the stored keys
+stay exact and taking the smallest one is the normal selection strategy, in
+the same order as recomputing the keys at every pop. Pairs are pruned with
+the standard product and chain criteria; for the chain criterion a pair
+counts as handled once it has left the queue. Output is the reduced
 Groebner basis, which is unique for the fixed grevlex order, so the result is
 independent of generator order.
 """
@@ -34,11 +39,11 @@ def _monomial_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _normalize(terms: dict, domain) -> dict:
-    """Scale so the leading coefficient is 1."""
+def _monic(terms: dict, domain):
+    """(leading monomial, terms scaled so its coefficient is 1)."""
     lm = max(terms, key=grevlex_key)
     inv = domain.inv(terms[lm])
-    return {m: domain.mul(inv, c) for m, c in terms.items()}
+    return lm, {m: domain.mul(inv, c) for m, c in terms.items()}
 
 
 def _reduce_terms(f: dict, basis, domain) -> dict:
@@ -69,7 +74,6 @@ def _reduce_terms(f: dict, basis, domain) -> dict:
 @dataclass(frozen=True)
 class GroebnerBasis:
     generators: tuple
-    reduced: bool = True
 
     @property
     def ring(self):
@@ -89,22 +93,20 @@ def normal_form(f: Poly, basis) -> Poly:
     if f.ring != ring:
         raise ValueError("polynomial and basis live in different rings")
     domain = ring.domain
-    monic = []
-    for g in gens:
-        terms = _normalize(g.terms, domain)
-        monic.append((max(terms, key=grevlex_key), terms))
+    monic = [_monic(g.terms, domain) for g in gens]
     return Poly(ring, _reduce_terms(f.terms, monic, domain))
 
 
-def _s_pair_terms(fi: dict, fj: dict, lmi, lmj, domain) -> dict:
-    """S-polynomial of two monic term dicts."""
-    lcm = _monomial_lcm(lmi, lmj)
-    si, sj = _monomial_sub(lcm, lmi), _monomial_sub(lcm, lmj)
+def _s_pair_terms(f, g, domain) -> dict:
+    """S-polynomial of two monic (lm, terms) pairs."""
+    (lmf, ft), (lmg, gt) = f, g
+    lcm = _monomial_lcm(lmf, lmg)
+    sf, sg = _monomial_sub(lcm, lmf), _monomial_sub(lcm, lmg)
     out = {}
-    for m, c in fi.items():
-        out[_monomial_add(m, si)] = c
-    for m, c in fj.items():
-        mm = _monomial_add(m, sj)
+    for m, c in ft.items():
+        out[_monomial_add(m, sf)] = c
+    for m, c in gt.items():
+        mm = _monomial_add(m, sg)
         v = domain.sub(out.get(mm, domain.zero), c)
         if domain.is_zero(v):
             out.pop(mm, None)
@@ -115,10 +117,19 @@ def _s_pair_terms(fi: dict, fj: dict, lmi, lmj, domain) -> dict:
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
     domain = f.ring.domain
-    fi = _normalize(f.terms, domain)
-    gj = _normalize(g.terms, domain)
-    return Poly(f.ring, _s_pair_terms(fi, gj, max(fi, key=grevlex_key),
-                                      max(gj, key=grevlex_key), domain))
+    return Poly(f.ring, _s_pair_terms(_monic(f.terms, domain), _monic(g.terms, domain),
+                                      domain))
+
+
+def _pairs_with_last(basis) -> dict:
+    """Queue entries (i, j) -> (deg lcm, lcm, (i, j)) for j the last index."""
+    j = len(basis) - 1
+    lmj = basis[j][0]
+    entries = {}
+    for i in range(j):
+        lcm = _monomial_lcm(basis[i][0], lmj)
+        entries[(i, j)] = (sum(lcm), lcm, (i, j))
+    return entries
 
 
 def buchberger(gens) -> GroebnerBasis:
@@ -130,69 +141,40 @@ def buchberger(gens) -> GroebnerBasis:
     if any(g.ring != ring for g in gens):
         raise ValueError("generators live in different rings")
     domain = ring.domain
-    key = grevlex_key
 
-    basis = []          # list of monic term dicts
-    lms = []            # their leading monomials
+    basis = []      # monic (lm, terms) pairs
+    pending = {}    # every pair of basis indices not yet handled
     for g in gens:
-        terms = _normalize(g.terms, domain)
-        basis.append(terms)
-        lms.append(max(terms, key=key))
-
-    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
-    processed = set()
-
-    def pair_key(pr):
-        lcm = _monomial_lcm(lms[pr[0]], lms[pr[1]])
-        return (sum(lcm), lcm, pr)
+        basis.append(_monic(g.terms, domain))
+        pending.update(_pairs_with_last(basis))
 
     while pending:
-        pair = min(pending, key=pair_key)
-        pending.discard(pair)
-        processed.add(pair)
-        i, j = pair
-        lcm = _monomial_lcm(lms[i], lms[j])
-        if _monomial_add(lms[i], lms[j]) == lcm:
+        _, lcm, (i, j) = pending.pop(min(pending, key=pending.get))
+        if _monomial_add(basis[i][0], basis[j][0]) == lcm:
             continue  # product criterion: disjoint leading terms
-        chain = False
-        for k in range(len(basis)):
-            if k in pair or not _monomial_divides(lms[k], lcm):
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik in processed and pjk in processed:
-                chain = True
-                break
-        if chain:
-            continue
-        s = _s_pair_terms(basis[i], basis[j], lms[i], lms[j], domain)
-        monic_basis = list(zip(lms, basis))
-        h = _reduce_terms(s, monic_basis, domain)
+        if any(k != i and k != j and _monomial_divides(basis[k][0], lcm)
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k in range(len(basis))):
+            continue  # chain criterion: (i, k) and (j, k) have left the queue
+        h = _reduce_terms(_s_pair_terms(basis[i], basis[j], domain), basis, domain)
         if h:
-            h = _normalize(h, domain)
-            basis.append(h)
-            lms.append(max(h, key=key))
-            new = len(basis) - 1
-            pending.update((k, new) for k in range(new))
+            basis.append(_monic(h, domain))
+            pending.update(_pairs_with_last(basis))
 
     # minimalize: drop generators whose leading monomial is divisible by another
-    keep = []
-    for i, lm in enumerate(lms):
-        dominated = any(
-            j != i and _monomial_divides(lms[j], lm) and (lms[j] != lm or j < i)
-            for j in range(len(basis)))
-        if not dominated:
-            keep.append(i)
+    keep = [i for i, (lm, _) in enumerate(basis)
+            if not any(j != i and _monomial_divides(other, lm) and (other != lm or j < i)
+                       for j, (other, _) in enumerate(basis))]
 
     # inter-reduce the minimal basis
     reduced = []
-    for idx in keep:
-        others = [(lms[k], basis[k]) for k in keep if k != idx]
-        r = _reduce_terms(basis[idx], others, domain)
+    for i in keep:
+        r = _reduce_terms(basis[i][1], [basis[k] for k in keep if k != i], domain)
         if r:
-            reduced.append(_normalize(r, domain))
-    reduced.sort(key=lambda t: key(max(t, key=key)))
-    return GroebnerBasis(tuple(Poly(ring, t) for t in reduced), reduced=True)
+            reduced.append(_monic(r, domain))
+    reduced.sort(key=lambda pair: grevlex_key(pair[0]))
+    return GroebnerBasis(tuple(Poly(ring, terms) for _, terms in reduced))
 
 
 def ideal_membership(f: Poly, gens) -> bool:
@@ -248,7 +230,7 @@ def hilbert_degree_codim(gb: GroebnerBasis):
     degree is Q(1). With this projective convention the reduced ideal of k
     distinct points in P^3 has codimension 3 and degree k.
     """
-    if not isinstance(gb, GroebnerBasis) or not gb.reduced:
+    if not isinstance(gb, GroebnerBasis):
         raise ValueError("a reduced Groebner basis is required")
     for g in gb.generators:
         if not g.is_homogeneous():

@@ -232,6 +232,29 @@ def test_descend_non_json_is_integrity_error(tmp_path, capsys):
     assert cli.main(["descend", str(path)]) == cli.EXIT_INTEGRITY
 
 
+MALFORMED_RECIPES = [
+    {},
+    [],
+    {"kind": "twelve-nodes", "labels": 5},
+    {"kind": "no-such-kind", "labels": NON_INVARIANT_LABELS},
+    {"kind": "twelve-nodes", "labels": ["E99"] + NON_INVARIANT_LABELS[1:]},
+    {"kind": "twelve-nodes", "labels": [5] + NON_INVARIANT_LABELS[1:]},
+]
+
+
+@pytest.mark.parametrize("recipe", MALFORMED_RECIPES,
+                         ids=["empty-object", "list", "labels-not-a-list", "unknown-kind",
+                              "bad-token", "non-string-token"])
+def test_descend_malformed_recipe_is_integrity_error(tmp_path, capsys, recipe):
+    document = json.loads(certified_certificate_path(tmp_path).read_text())
+    document["body"]["recipe"] = recipe
+    path = write_with_digest(tmp_path / "malformed.json", document)
+    assert cli.main(["descend", path]) == cli.EXIT_INTEGRITY
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "integrity error" in captured.err
+
+
 def test_version_matches_package_metadata():
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M).group(1)

@@ -1,0 +1,24 @@
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_script(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_sweep_scripts_print_their_summaries():
+    recipes = run_script("invariant_recipes.py")
+    assert recipes.returncode == 0, recipes.stderr
+    assert "24 invariant recipes, 0 with both vanishings" in recipes.stdout.splitlines()
+
+    sweep = run_script("even_eight_sweep.py")
+    assert sweep.returncode == 0, sweep.stderr
+    lines = sweep.stdout.splitlines()
+    assert "30 even eights among 12870 eight-subsets" in lines
+    assert "closed under complementation: True" in lines
