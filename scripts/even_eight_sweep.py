@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Sweep all 12870 eight-subsets of the sixteen nodes for divisibility by 2
-relative to the span of L, the nodes and the tropes, and print the positive
-sets paired with their complements."""
+"""Find the eight-subsets of the sixteen nodes whose half sum is divisible by 2
+relative to the span of L, the nodes and the tropes, and print them paired
+with their complements. The sweep enumerates the F2 span of the generators
+and checks each weight-8 candidate exactly with Hermite normal form."""
 from ulrichcert.labels import NODE_LABELS, node_token
 from ulrichcert.picard import EvenEightTester
 

@@ -74,12 +74,7 @@ class RunConfig:
                          f"got {self.quartic_source!r}")
 
     def recipe(self) -> picard.BundleRecipe:
-        recipe = picard.BundleRecipe(self.recipe_kind, self.recipe_labels)
-        expected = 12 if recipe.kind == picard.TWELVE_NODES else 8
-        if len(recipe.labels) != expected:
-            raise ValueError(f"recipe kind {recipe.kind!r} needs exactly "
-                             f"{expected} labels, got {len(recipe.labels)}")
-        return recipe
+        return picard.checked_recipe(self.recipe_kind, self.recipe_labels)
 
 
 def paper_default_config() -> RunConfig:
@@ -88,7 +83,10 @@ def paper_default_config() -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file {path!r}: {exc}") from None
     if not read:
         raise ValueError(f"cannot read config file {path!r}")
     cfg = RunConfig()
@@ -97,8 +95,10 @@ def load_config(path: str) -> RunConfig:
         if "prime" in section:
             cfg.prime = int(section["prime"])
         if "roots" in section:
-            roots = tuple(Fraction(tok.strip()) for tok in section["roots"].split(","))
-            cfg.roots = roots
+            try:
+                cfg.roots = tuple(Fraction(tok.strip()) for tok in section["roots"].split(","))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"invalid roots {section['roots']!r}: {exc}") from None
         if "quartic" in section:
             cfg.quartic_source = section["quartic"].strip()
     if parser.has_section("bundle"):

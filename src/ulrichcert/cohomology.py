@@ -30,8 +30,8 @@ from .kummer import Genus2Curve, all_node_points, verify_sixteen_nodes
 from .labels import NODE_LABELS, node_token, parse_node_token
 from .linalg import kernel_basis
 from .picard import (BundleRecipe, EvenEightTester, HALF_EVEN_EIGHT, PolarizedSurfaceParams,
-                     build_theta_star, chi_k3, format_divisor, is_invariant, pairing,
-                     polarization)
+                     build_theta_star, checked_recipe, chi_k3, format_divisor, is_invariant,
+                     pairing, polarization)
 from .polynomials import Poly, format_polynomial, monomial_basis, power_product
 
 TOOL_NAME = "ulrichcert"
@@ -494,9 +494,9 @@ def descend_from_document(document: dict) -> EnriquesReport:
         raise UncertifiedCertificateError(
             f"certificate verdict is {body.get('verdict')!r}")
     try:
-        recipe = BundleRecipe(
-            kind=body["recipe"]["kind"],
-            labels=tuple(parse_node_token(t) for t in body["recipe"]["labels"]))
+        recipe = checked_recipe(
+            body["recipe"]["kind"],
+            tuple(parse_node_token(t) for t in body["recipe"]["labels"]))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CertificateIntegrityError(
             f"certificate body has a malformed recipe: {exc!r}") from exc

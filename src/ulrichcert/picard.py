@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import itertools
 
 from .labels import (NODE_LABELS, TROPE_LABELS, node_token, parse_node_token,
                      parse_trope_token, validate_node_label)
@@ -269,6 +268,17 @@ class BundleRecipe:
         return tuple(node_token(l) for l in self.labels)
 
 
+def checked_recipe(kind, labels) -> BundleRecipe:
+    """A recipe whose label count fits its kind: 12 nodes for twelve-nodes, 8
+    for half-even-eight. BundleRecipe itself accepts any count."""
+    recipe = BundleRecipe(kind, labels)
+    expected = 12 if recipe.kind == TWELVE_NODES else 8
+    if len(recipe.labels) != expected:
+        raise ValueError(f"recipe kind {recipe.kind!r} needs exactly "
+                         f"{expected} labels, got {len(recipe.labels)}")
+    return recipe
+
+
 def default_recipe() -> BundleRecipe:
     return BundleRecipe()
 
@@ -297,6 +307,20 @@ def _half_node_sum(labels):
     return doubled
 
 
+def _f2_basis(rows):
+    """A basis of the F2 span of integer rows taken mod 2, as bitmasks with
+    bit k for coordinate k; the basis elements have distinct leading bits."""
+    basis = []
+    for row in rows:
+        mask = sum(1 << k for k, x in enumerate(row) if x % 2)
+        for b in basis:
+            mask = min(mask, mask ^ b)
+        if mask:
+            basis.append(mask)
+            basis.sort(reverse=True)
+    return basis
+
+
 class EvenEightTester:
     """Divisibility-by-2 tests against a fixed generator set, HNF-backed."""
 
@@ -313,10 +337,23 @@ class EvenEightTester:
         return hnf_contains(self._hnf, self._pivots, _half_node_sum(labels))
 
     def sweep(self):
-        """All positive 8-subsets of the sixteen node labels, as test() finds
-        them on each of the 12870 subsets."""
-        return [frozenset(combo) for combo in itertools.combinations(NODE_LABELS, 8)
-                if hnf_contains(self._hnf, self._pivots, _half_node_sum(combo))]
+        """All positive 8-subsets of the sixteen node labels, in
+        itertools.combinations(NODE_LABELS, 8) order.
+
+        A half node sum has doubled coordinates v with entries 0 and 1, and v
+        reduces mod 2 to itself; so if v lies in the span, v is a word of the
+        F2 span of the HNF rows mod 2. The sweep enumerates the 2^r words of
+        that span (r its rank), keeps those with L-bit 0 and node weight 8,
+        and confirms each candidate exactly with hnf_contains.
+        """
+        words = [0]
+        for b in _f2_basis(self._hnf):
+            words += [w ^ b for w in words]
+        eights = sorted([k for k in range(1, RANK) if w >> k & 1]
+                        for w in words if not w & 1 and w.bit_count() == 8)
+        candidates = ([BASIS[k] for k in eight] for eight in eights)
+        return [frozenset(labels) for labels in candidates
+                if hnf_contains(self._hnf, self._pivots, _half_node_sum(labels))]
 
 
 def even_eight_test(labels, generators=None) -> bool:

@@ -68,6 +68,25 @@ def test_nodes_bad_roots_config(tmp_path, capsys):
     assert cli.main(["nodes", "--config", cfg]) == cli.EXIT_CONFIG
 
 
+def test_nodes_zero_denominator_root_is_config_error(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text("[surface]\nprime = 32003\nroots = 1/0, -1, 2, -2, 3, -3\n")
+    assert cli.main(["nodes", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "configuration error" in err and "1/0" in err
+
+
+@pytest.mark.parametrize("text", ["prime = 7\n", "[surface]\nprime = 7\nprime = 11\n"],
+                         ids=["no-section-header", "duplicate-option"])
+def test_nodes_malformed_ini_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    assert cli.main(["nodes", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "malformed config file" in err
+
+
 def test_nodes_composite_prime_rejected(capsys):
     assert cli.main(["nodes", "--paper-defaults", "--prime", "32004"]) == cli.EXIT_CONFIG
 
@@ -239,12 +258,15 @@ MALFORMED_RECIPES = [
     {"kind": "no-such-kind", "labels": NON_INVARIANT_LABELS},
     {"kind": "twelve-nodes", "labels": ["E99"] + NON_INVARIANT_LABELS[1:]},
     {"kind": "twelve-nodes", "labels": [5] + NON_INVARIANT_LABELS[1:]},
+    {"kind": "twelve-nodes", "labels": ["E0"]},
+    {"kind": "half-even-eight", "labels": NON_INVARIANT_LABELS},
 ]
 
 
 @pytest.mark.parametrize("recipe", MALFORMED_RECIPES,
                          ids=["empty-object", "list", "labels-not-a-list", "unknown-kind",
-                              "bad-token", "non-string-token"])
+                              "bad-token", "non-string-token", "one-of-twelve-labels",
+                              "twelve-of-eight-labels"])
 def test_descend_malformed_recipe_is_integrity_error(tmp_path, capsys, recipe):
     document = json.loads(certified_certificate_path(tmp_path).read_text())
     document["body"]["recipe"] = recipe

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ulrichcert.labels import NODE_LABELS, TROPE_LABELS
+from ulrichcert.linalg import hermite_normal_form, hnf_contains
 from ulrichcert.picard import (BundleRecipe, DEFAULT_TWELVE, DivisorClass,
                                EvenEightTester, HALF_EVEN_EIGHT, Involution,
                                PolarizedSurfaceParams, chi_k3,
@@ -163,6 +164,34 @@ def test_even_eight_sweep_complement_closed():
     full = set(NODE_LABELS)
     assert all(frozenset(full - s) in positives for s in positives)
     assert frozenset(REMARK_EIGHT) in positives
+
+
+def subset_sweep(generators):
+    """The even eights found by testing each of the 12870 eight-subsets; the
+    oracle for EvenEightTester.sweep()."""
+    hnf, pivots = hermite_normal_form([g.doubled for g in generators])
+    return [frozenset(combo) for combo in itertools.combinations(NODE_LABELS, 8)
+            if hnf_contains(hnf, pivots, [0] + [int(l in combo) for l in NODE_LABELS])]
+
+
+def half_nodes_but_e0():
+    """Half node classes except E0, which enters only as 3/2*E0, and L/2. The
+    F2 span is all of F2^17, yet no half sum through E0 lies in the span, so
+    the exact check rejects half of the candidates."""
+    half = Fraction(1, 2)
+    return ([half * L, Fraction(3, 2) * node_class((0,))]
+            + [half * node_class(l) for l in NODE_LABELS[1:]])
+
+
+@pytest.mark.parametrize("generators, count", [
+    (default_picard_generators(), 30),
+    ([node_class(l) for l in NODE_LABELS], 0),
+    (half_nodes_but_e0(), 6435),
+], ids=["default", "nodes-only", "half-nodes-full-rank"])
+def test_even_eight_sweep_matches_subset_oracle(generators, count):
+    positives = EvenEightTester(generators).sweep()
+    assert positives == subset_sweep(generators)
+    assert len(positives) == count
 
 
 def test_incidence_values():

@@ -22,3 +22,10 @@ def test_sweep_scripts_print_their_summaries():
     lines = sweep.stdout.splitlines()
     assert "30 even eights among 12870 eight-subsets" in lines
     assert "closed under complementation: True" in lines
+
+
+def test_even_eight_sweep_output_matches_golden():
+    sweep = run_script("even_eight_sweep.py")
+    assert sweep.returncode == 0, sweep.stderr
+    golden = (ROOT / "tests" / "golden" / "even_eight_sweep.txt").read_text()
+    assert sweep.stdout == golden
