@@ -77,10 +77,6 @@ class RunConfig:
         return picard.checked_recipe(self.recipe_kind, self.recipe_labels)
 
 
-def paper_default_config() -> RunConfig:
-    return RunConfig()
-
-
 def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
@@ -119,7 +115,7 @@ def _resolve_config(args) -> RunConfig:
     if args.config:
         cfg = load_config(args.config)
     elif args.paper_defaults:
-        cfg = paper_default_config()
+        cfg = RunConfig()
     else:
         raise ValueError("a configuration is required: --config PATH or --paper-defaults")
     if args.prime is not None:
@@ -205,8 +201,7 @@ def _cmd_lattice(args) -> int:
         print(f"  every row and column sums to six: {'pass' if valid else 'FAIL'}")
         return EXIT_OK if valid else EXIT_FAILURE
     if sub == "even-eights":
-        tester = picard.EvenEightTester()
-        positives = tester.sweep()
+        positives = picard.default_even_eight_tester().sweep()
         closed = all(frozenset(set(picard.NODE_LABELS) - s) in set(positives)
                      for s in positives)
         print(f"  positive eight-subsets: {len(positives)} of 12870")

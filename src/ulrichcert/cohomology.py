@@ -29,9 +29,9 @@ from .enriques import DescentInference, EnriquesClass, chi_enriques, halve, ulri
 from .kummer import Genus2Curve, all_node_points, verify_sixteen_nodes
 from .labels import NODE_LABELS, node_token, parse_node_token
 from .linalg import kernel_basis
-from .picard import (BundleRecipe, EvenEightTester, HALF_EVEN_EIGHT, PolarizedSurfaceParams,
-                     build_theta_star, checked_recipe, chi_k3, format_divisor, is_invariant,
-                     pairing, polarization)
+from .picard import (BundleRecipe, HALF_EVEN_EIGHT, PolarizedSurfaceParams, build_theta_star,
+                     checked_recipe, chi_k3, default_even_eight_tester, format_divisor,
+                     is_invariant, pairing, polarization)
 from .polynomials import Poly, format_polynomial, monomial_basis, power_product
 
 TOOL_NAME = "ulrichcert"
@@ -70,7 +70,7 @@ def evaluation_matrix(d: int, points):
     return rows, mons
 
 
-def h0_forms_through_points(d: int, points, domain=None) -> int:
+def h0_forms_through_points(d: int, points) -> int:
     """Dimension of degree-d forms in four variables vanishing at the points."""
     points = list(points)
     if len(set(points)) != len(points):
@@ -78,8 +78,7 @@ def h0_forms_through_points(d: int, points, domain=None) -> int:
     rows, mons = evaluation_matrix(d, points)
     if not rows:
         return len(mons)
-    dom = domain or points[0].domain
-    return len(kernel_basis(rows, len(mons), dom))
+    return len(kernel_basis(rows, len(mons), points[0].domain))
 
 
 def section_basis(d: int, points, ring) -> list:
@@ -214,7 +213,7 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
     """
     recipe = recipe or BundleRecipe()
     params = params or PolarizedSurfaceParams()
-    if recipe.kind == HALF_EVEN_EIGHT and not EvenEightTester().test(recipe.labels):
+    if recipe.kind == HALF_EVEN_EIGHT and not default_even_eight_tester().test(recipe.labels):
         raise UnsupportedShapeError(
             "the eight recipe nodes are not an even eight, so the candidate "
             "is not an integral class")
@@ -274,8 +273,7 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
     support = _node_support(difference)
     if difference.doubled[0] == 0 and support.keys() == {1} and len(support[1]) == 8:
         halves = support[1]
-        tester = EvenEightTester()
-        divisible = tester.test(halves)
+        divisible = default_even_eight_tester().test(halves)
         cert.checks.append(CheckRecord(
             name="even-eight-detection",
             justification="even-eight-complement",
@@ -468,7 +466,7 @@ def _descend(recipe: BundleRecipe) -> EnriquesReport:
         EnriquesClass("N+K_Y", n2, n_dot_h),
     )
     chi_h = chi_enriques(hy2)
-    inferences = tuple(ulrich_transfer(True, True)) + (
+    inferences = tuple(ulrich_transfer()) + (
         DescentInference(
             premise=f"chi(H_Y) = 1 + {hy2}/2 = {chi_h} and H_Y is ample and globally generated",
             conclusion=f"h0(H_Y) = {chi_h}, so the polarization maps the surface "

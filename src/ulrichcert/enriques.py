@@ -79,30 +79,17 @@ def halve(x_pairing: int) -> int:
     return x_pairing // 2
 
 
-def chi_enriques(d: EnriquesClass | int) -> int:
-    """1 + D^2/2; the self-intersection must be even."""
-    square = d.self_intersection if isinstance(d, EnriquesClass) else int(d)
+def chi_enriques(square: int) -> int:
+    """1 + D^2/2 for a class of self-intersection D^2; the square must be even."""
     if square % 2:
         raise ValueError("odd self-intersection is impossible on an Enriques surface")
     return 1 + square // 2
 
 
-def ulrich_transfer(certified: bool, invariant: bool):
-    """The descent inference chain, or the first failing premise.
-
-    Returns a list of DescentInference; the chain is complete (three steps
-    ending in the Ulrich conclusion for the summand) iff both flags hold.
-    """
-    if not certified:
-        return [DescentInference(
-            premise="the candidate class was not certified Ulrich on the cover",
-            conclusion="no descent conclusion",
-            justification="etale-pushforward-ulrich")]
-    if not invariant:
-        return [DescentInference(
-            premise="the candidate class is not involution-invariant",
-            conclusion="it is not a pullback from the quotient; no descent",
-            justification="invariant-lattice-descent")]
+def ulrich_transfer():
+    """The descent inference chain for a class that is certified Ulrich on
+    the cover and invariant under the involution: three steps ending in the
+    Ulrich conclusion for the summand. Callers establish both premises."""
     return [
         DescentInference(
             premise="M is invariant under the involution",

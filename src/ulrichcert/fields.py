@@ -17,10 +17,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the twelve bases 2..37 is deterministic below psi_12, the
+# least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases"); psi_12 = 399165290221 * 798330580441.
+PSI_12 = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond any modulus used here."""
+    """Deterministic Miller-Rabin for n < PSI_12; larger n raise ValueError."""
+    if n >= PSI_12:
+        raise ValueError(f"cannot decide whether {n} is prime: Miller-Rabin with bases "
+                         f"2..37 is deterministic only below {PSI_12}")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

@@ -177,11 +177,6 @@ def buchberger(gens) -> GroebnerBasis:
     return GroebnerBasis(tuple(Poly(ring, terms) for _, terms in reduced))
 
 
-def ideal_membership(f: Poly, gens) -> bool:
-    """True iff f lies in the ideal generated by gens."""
-    return normal_form(f, buchberger(gens)).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # Hilbert series of the leading-term ideal
 # ---------------------------------------------------------------------------

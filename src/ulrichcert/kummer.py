@@ -112,26 +112,24 @@ class NodeVerification:
     passed: bool
     distinct: bool
     node_results: dict                 # label -> bool
+    codim: int
+    degree: int
     first_failure: object = None       # first failing label or colliding pair
-    codim: int | None = None
-    degree: int | None = None
     points: dict = field(default_factory=dict)
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
-        dim = f", singular locus (codim, degree) = ({self.codim}, {self.degree})" \
-            if self.codim is not None else ""
-        return f"sixteen-nodes check: {status}{dim}"
+        return (f"sixteen-nodes check: {status}, singular locus (codim, degree) = "
+                f"({self.codim}, {self.degree})")
 
 
-def verify_sixteen_nodes(quartic: Poly, curve: Genus2Curve,
-                         include_dimension_check: bool = True) -> NodeVerification:
+def verify_sixteen_nodes(quartic: Poly, curve: Genus2Curve) -> NodeVerification:
     """Check the supplied quartic against the formula-produced nodes.
 
     (a) the sixteen points are pairwise distinct, (b) each is a singular
-    point of the quartic, and optionally (c) the ideal of the quartic and
-    its partials has codimension 3 and degree 16, which together force the
-    reduced singular scheme to be exactly these sixteen points.
+    point of the quartic, and (c) the ideal of the quartic and its partials
+    has codimension 3 and degree 16, which together force the reduced
+    singular scheme to be exactly these sixteen points.
     """
     dom = quartic.ring.domain
     points = all_node_points(curve, dom)
@@ -148,19 +146,16 @@ def verify_sixteen_nodes(quartic: Poly, curve: Genus2Curve,
     all_singular = all(node_results.values())
     if first_failure is None and not all_singular:
         first_failure = next(lab for lab, ok in node_results.items() if not ok)
-    codim = degree = None
-    dims_ok = True
-    if include_dimension_check:
-        gens = [quartic] + partial_derivatives(quartic)
-        gb = buchberger([g for g in gens if not g.is_zero()])
-        codim, degree = hilbert_degree_codim(gb)
-        dims_ok = (codim, degree) == (3, 16)
-        if first_failure is None and not dims_ok:
-            first_failure = ("dimension", codim, degree)
+    gens = [quartic] + partial_derivatives(quartic)
+    gb = buchberger([g for g in gens if not g.is_zero()])
+    codim, degree = hilbert_degree_codim(gb)
+    dims_ok = (codim, degree) == (3, 16)
+    if first_failure is None and not dims_ok:
+        first_failure = ("dimension", codim, degree)
     passed = distinct and all_singular and dims_ok
     return NodeVerification(passed=passed, distinct=distinct,
-                            node_results=node_results, first_failure=first_failure,
-                            codim=codim, degree=degree, points=points)
+                            node_results=node_results, codim=codim, degree=degree,
+                            first_failure=first_failure, points=points)
 
 
 def default_curve() -> Genus2Curve:

@@ -1,6 +1,6 @@
-"""Integral lattices with named bases: U, E8(-1), direct sums, the rank-22
-even unimodular lattice U^3 + E8(-1)^2, and invariant sublattices of
-involutions, all by exact integer linear algebra.
+"""Integral lattices: U, E8(-1), direct sums, the rank-22 even unimodular
+lattice U^3 + E8(-1)^2, and invariant sublattices of involutions, all by
+exact integer linear algebra.
 
 Gram matrices for U and E8(-1) are corpus files; every claim made about
 derived lattices (rank, determinant, signature, parity) is a convention
@@ -11,16 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import corpus
-from .linalg import (determinant, hermite_normal_form, hnf_contains, identity, integer_kernel,
-                     matmul, matvec, signature, transpose)
+from .linalg import determinant, identity, integer_kernel, matmul, matvec, signature, transpose
 
 
 @dataclass(frozen=True)
 class LatticeGram:
-    """An integral symmetric bilinear form with a named basis."""
+    """An integral symmetric bilinear form on Z^n, given by its Gram matrix."""
 
     gram: tuple
-    labels: tuple
 
     def __post_init__(self):
         gram = tuple(tuple(int(x) for x in row) for row in self.gram)
@@ -28,8 +26,6 @@ class LatticeGram:
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix is not square")
-        if len(self.labels) != n:
-            raise ValueError("label count does not match rank")
         for i in range(n):
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
@@ -53,45 +49,33 @@ class LatticeGram:
     def all_entries_even(self) -> bool:
         return all(x % 2 == 0 for row in self.gram for x in row)
 
-    def scaled(self, k: int) -> "LatticeGram":
-        return LatticeGram(tuple(tuple(k * x for x in row) for row in self.gram),
-                           self.labels)
+
+def hyperbolic_plane() -> LatticeGram:
+    return LatticeGram(corpus.read_integer_matrix("gram_u"))
 
 
-def hyperbolic_plane(labels=("v1", "v2")) -> LatticeGram:
-    return LatticeGram(corpus.read_integer_matrix("gram_u"), tuple(labels))
-
-
-def e8_minus(labels=None) -> LatticeGram:
-    labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(1, 9))
-    return LatticeGram(corpus.read_integer_matrix("gram_e8_neg"), labels)
+def e8_minus() -> LatticeGram:
+    return LatticeGram(corpus.read_integer_matrix("gram_e8_neg"))
 
 
 def direct_sum(*parts: LatticeGram) -> LatticeGram:
-    """Block-diagonal sum; labels are concatenated in order."""
+    """Block-diagonal sum, the parts' bases concatenated in order."""
     n = sum(p.rank for p in parts)
     gram = [[0] * n for _ in range(n)]
-    labels = []
     offset = 0
     for p in parts:
         for i in range(p.rank):
             for j in range(p.rank):
                 gram[offset + i][offset + j] = p.gram[i][j]
-        labels.extend(p.labels)
         offset += p.rank
-    return LatticeGram(tuple(tuple(row) for row in gram), tuple(labels))
+    return LatticeGram(tuple(tuple(row) for row in gram))
 
 
 def k3_lattice() -> LatticeGram:
-    """U + U + U + E8(-1) + E8(-1) with the basis naming used throughout:
+    """U + U + U + E8(-1) + E8(-1), with the basis in the order
     v1, v2, v1', v2', v1'', v2'', e1'..e8', e1''..e8''."""
-    return direct_sum(
-        hyperbolic_plane(("v1", "v2")),
-        hyperbolic_plane(("v1'", "v2'")),
-        hyperbolic_plane(("v1''", "v2''")),
-        e8_minus(tuple(f"e{i}'" for i in range(1, 9))),
-        e8_minus(tuple(f"e{i}''" for i in range(1, 9))),
-    )
+    return direct_sum(hyperbolic_plane(), hyperbolic_plane(), hyperbolic_plane(),
+                      e8_minus(), e8_minus())
 
 
 class LatticeInvolution:
@@ -116,9 +100,8 @@ class LatticeInvolution:
         return matvec(self.matrix, vector)
 
 
-def build_vartheta(lattice: LatticeGram | None = None) -> LatticeInvolution:
-    """The involution v_i -> -v_i, v_i' <-> v_i'', e_i' <-> e_i''."""
-    lattice = lattice if lattice is not None else k3_lattice()
+def build_vartheta(lattice: LatticeGram) -> LatticeInvolution:
+    """The involution v_i -> -v_i, v_i' <-> v_i'', e_i' <-> e_i'' of k3_lattice()."""
     n = lattice.rank
     if n != 22:
         raise ValueError("the swap involution is defined on the rank-22 lattice")
@@ -149,53 +132,9 @@ def invariant_sublattice(lattice: LatticeGram, inv: LatticeInvolution):
     basis = integer_kernel(delta, n)
     gram = tuple(
         tuple(_form_value(lattice.gram, u, v) for v in basis) for u in basis)
-    labels = tuple(f"f{k+1}" for k in range(len(basis)))
-    return LatticeGram(gram, labels), [tuple(b) for b in basis]
+    return LatticeGram(gram), [tuple(b) for b in basis]
 
 
 def _form_value(gram, u, v):
     n = len(gram)
     return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
-
-
-def model_invariant_basis():
-    """The explicit invariant vectors v_i' + v_i'' and e_j' + e_j''."""
-    vectors = []
-    for k in range(2):
-        vec = [0] * 22
-        vec[2 + k] = 1
-        vec[4 + k] = 1
-        vectors.append(tuple(vec))
-    for k in range(8):
-        vec = [0] * 22
-        vec[6 + k] = 1
-        vec[14 + k] = 1
-        vectors.append(tuple(vec))
-    return vectors
-
-
-def u2_e8m2_model() -> LatticeGram:
-    """The expected invariant form U(2) + E8(-2)."""
-    return direct_sum(hyperbolic_plane(("w1", "w2")).scaled(2),
-                      e8_minus().scaled(2))
-
-
-def same_row_lattice(rows_a, rows_b) -> bool:
-    """Do two integer row sets span the same sublattice of Z^n?"""
-    hnf_a, piv_a = hermite_normal_form(list(rows_a))
-    hnf_b, piv_b = hermite_normal_form(list(rows_b))
-    return hnf_a == hnf_b and piv_a == piv_b
-
-
-def is_primitive_sublattice(rows, ambient_rank: int) -> bool:
-    """True iff the rows span a saturated (primitive) sublattice of Z^n.
-
-    The saturation is computed as the kernel of the kernel: both kernels of
-    integer matrices are saturated, and the double kernel recovers exactly
-    the rational row span intersected with Z^n.
-    """
-    rows = [list(r) for r in rows]
-    complement = integer_kernel(rows, ambient_rank)
-    saturation = integer_kernel(complement, ambient_rank)
-    hnf, pivots = hermite_normal_form(rows)
-    return all(hnf_contains(hnf, pivots, v) for v in saturation)

@@ -136,17 +136,6 @@ def hnf_contains(hnf_rows, pivots, target):
     return all(x == 0 for x in t)
 
 
-def integer_span_contains(generators, target) -> bool:
-    """True iff target lies in the integer span of the generator rows."""
-    generators = list(generators)
-    if not generators:
-        raise ValueError("empty generator list")
-    if any(len(g) != len(target) for g in generators):
-        raise ValueError("dimension mismatch between generators and target")
-    hnf, pivots = hermite_normal_form(generators)
-    return hnf_contains(hnf, pivots, target)
-
-
 def integer_kernel(rows, ncols):
     """Basis of the integer right kernel {x in Z^ncols : rows . x = 0}.
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 
 from .labels import (NODE_LABELS, TROPE_LABELS, node_token, parse_node_token,
                      parse_trope_token, validate_node_label)
@@ -356,9 +357,17 @@ class EvenEightTester:
                 if hnf_contains(self._hnf, self._pivots, _half_node_sum(labels))]
 
 
-def even_eight_test(labels, generators=None) -> bool:
-    """True iff half the sum of the eight nodes lies in the generator span."""
-    return EvenEightTester(generators).test(labels)
+@functools.cache
+def default_even_eight_tester() -> EvenEightTester:
+    """The tester for default_picard_generators(), built once per process;
+    the tester is never mutated after construction."""
+    return EvenEightTester()
+
+
+def even_eight_test(labels) -> bool:
+    """True iff half the sum of the eight nodes lies in the span of
+    default_picard_generators()."""
+    return default_even_eight_tester().test(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +387,8 @@ def incidence_table():
     return table
 
 
-def incidence_is_16_6(table=None) -> bool:
+def incidence_is_16_6(table) -> bool:
     """Every node lies on six tropes and every trope contains six nodes."""
-    table = table if table is not None else incidence_table()
     for nl in NODE_LABELS:
         if sum(table[(nl, tl)] for tl in TROPE_LABELS) != 6:
             return False

@@ -91,6 +91,15 @@ def test_nodes_composite_prime_rejected(capsys):
     assert cli.main(["nodes", "--paper-defaults", "--prime", "32004"]) == cli.EXIT_CONFIG
 
 
+def test_nodes_prime_beyond_primality_bound_rejected(capsys):
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to bases 2..37
+    psi_12 = "318665857834031151167461"
+    assert cli.main(["nodes", "--paper-defaults", "--prime", psi_12]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "sixteen-nodes check" not in captured.out
+    assert psi_12 in captured.err and "Traceback" not in captured.err
+
+
 def test_nodes_conflicting_config_flags(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg")
     assert cli.main(["nodes", "--config", cfg, "--paper-defaults"]) == cli.EXIT_CONFIG

@@ -11,10 +11,11 @@ from ulrichcert.cohomology import (CertificateIntegrityError, UncertifiedCertifi
                                    descend_from_document, descend_to_enriques,
                                    h0_forms_through_points, load_certificate_document,
                                    write_certificate)
+from ulrichcert import picard
 from ulrichcert.kummer import all_node_points, parse_quartic
 from ulrichcert.labels import NODE_LABELS
 from ulrichcert.picard import (BundleRecipe, DEFAULT_TWELVE, HALF_EVEN_EIGHT,
-                               hyperplane_class, polarization)
+                               even_eight_test, hyperplane_class, polarization)
 from ulrichcert.polynomials import ProjectivePoint
 
 FOUR = ((2, 3), (2, 5), (3, 4), (4, 5))
@@ -45,7 +46,7 @@ def test_h0_twelve_swapped_nodes_admit_no_quadric(nodes):
 
 
 def test_h0_empty_point_set(gf):
-    assert h0_forms_through_points(1, [], domain=gf) == 4
+    assert h0_forms_through_points(1, []) == 4
 
 
 def test_h0_three_unit_points(gf):
@@ -213,6 +214,22 @@ def test_certify_remark_recipe_refuted_even_eight(curve, quartic):
     complement = {l for l in NODE_LABELS if l not in REMARK_EIGHT}
     from ulrichcert.labels import parse_node_token
     assert {parse_node_token(t) for t in cert.refutation_witness["labels"]} == complement
+
+
+def test_default_generators_hnf_built_at_most_once(curve, quartic, monkeypatch):
+    calls = []
+    build = picard.hermite_normal_form
+
+    def counting_build(rows):
+        calls.append(len(rows))
+        return build(rows)
+
+    monkeypatch.setattr(picard, "hermite_normal_form", counting_build)
+    assert even_eight_test(REMARK_EIGHT)
+    assert even_eight_test(REMARK_EIGHT)
+    cert = certify_ulrich(curve, quartic, BundleRecipe(kind=HALF_EVEN_EIGHT, labels=REMARK_EIGHT))
+    assert cert.refutation_reason == "even-eight"
+    assert len(calls) <= 1
 
 
 def test_certify_eleven_labels_refuted_numerically(curve, quartic):

@@ -6,7 +6,7 @@ from ulrichcert.picard import chi_k3, default_recipe, polarization
 
 
 def test_chi_of_polarization():
-    assert chi_enriques(EnriquesClass("H_Y", 4, 4)) == 3
+    assert chi_enriques(EnriquesClass("H_Y", 4, 4).self_intersection) == 3
 
 
 def test_chi_of_trivial_class():
@@ -32,24 +32,10 @@ def test_halve():
 
 
 def test_transfer_chain_complete():
-    chain = ulrich_transfer(True, True)
+    chain = ulrich_transfer()
     assert len(chain) == 3
     assert chain[-1].justification == "summand-ulrich"
     assert "Ulrich" in chain[-1].conclusion
-
-
-def test_transfer_stops_at_invariance():
-    chain = ulrich_transfer(True, False)
-    assert len(chain) == 1
-    assert chain[0].justification == "invariant-lattice-descent"
-    assert "no descent" in chain[0].conclusion
-
-
-def test_transfer_stops_at_certification():
-    for invariant in (True, False):
-        chain = ulrich_transfer(False, invariant)
-        assert len(chain) == 1
-        assert "not certified" in chain[0].premise
 
 
 def test_inference_justifications_whitelisted():

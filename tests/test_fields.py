@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ulrichcert.fields import QQ, PrimeField, is_prime
+from ulrichcert.fields import PSI_12, QQ, PrimeField, is_prime
 
 
 def egcd_inverse(a, p):
@@ -58,6 +58,16 @@ def test_is_prime_spot_checks():
     assert is_prime(7)
     assert not is_prime(32001)
     assert not is_prime(0)
+
+
+def test_is_prime_refuses_moduli_beyond_deterministic_bound():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime(2 ** 67 - 1)  # 193707721 * 761838257287
+    with pytest.raises(ValueError, match=str(PSI_12)):
+        is_prime(PSI_12)
+    with pytest.raises(ValueError, match=str(PSI_12)):
+        PrimeField(PSI_12 + 2)
 
 
 def test_coerce_fraction(gf):

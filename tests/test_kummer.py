@@ -115,9 +115,10 @@ def test_sixteen_nodes_pass(quartic, curve):
 
 def test_perturbed_quartic_fails(curve, gf):
     perturbed = parse_quartic("X^4", gf) + load_corpus_quartic(gf)
-    report = verify_sixteen_nodes(perturbed, curve, include_dimension_check=False)
+    report = verify_sixteen_nodes(perturbed, curve)
     assert not report.passed
     assert not all(report.node_results.values())
+    assert (report.codim, report.degree) == (3, 1)
 
 
 def test_smooth_fermat_quartic_fails(curve, gf):

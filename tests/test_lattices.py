@@ -2,9 +2,54 @@ import pytest
 
 from ulrichcert.lattices import (LatticeGram, LatticeInvolution, build_vartheta,
                                  direct_sum, e8_minus, hyperbolic_plane,
-                                 invariant_sublattice, is_primitive_sublattice,
-                                 k3_lattice, model_invariant_basis, same_row_lattice,
-                                 u2_e8m2_model)
+                                 invariant_sublattice, k3_lattice)
+from ulrichcert.linalg import hermite_normal_form, hnf_contains, integer_kernel
+
+
+def model_invariant_basis():
+    """The explicit invariant vectors v_i' + v_i'' and e_j' + e_j''."""
+    vectors = []
+    for k in range(2):
+        vec = [0] * 22
+        vec[2 + k] = 1
+        vec[4 + k] = 1
+        vectors.append(tuple(vec))
+    for k in range(8):
+        vec = [0] * 22
+        vec[6 + k] = 1
+        vec[14 + k] = 1
+        vectors.append(tuple(vec))
+    return vectors
+
+
+def scaled(lattice, k):
+    return LatticeGram(tuple(tuple(k * x for x in row) for row in lattice.gram))
+
+
+def u2_e8m2_model() -> LatticeGram:
+    """The expected invariant form U(2) + E8(-2)."""
+    return direct_sum(scaled(hyperbolic_plane(), 2), scaled(e8_minus(), 2))
+
+
+def same_row_lattice(rows_a, rows_b) -> bool:
+    """Do two integer row sets span the same sublattice of Z^n?"""
+    hnf_a, piv_a = hermite_normal_form(list(rows_a))
+    hnf_b, piv_b = hermite_normal_form(list(rows_b))
+    return hnf_a == hnf_b and piv_a == piv_b
+
+
+def is_primitive_sublattice(rows, ambient_rank: int) -> bool:
+    """True iff the rows span a saturated (primitive) sublattice of Z^n.
+
+    The saturation is computed as the kernel of the kernel: both kernels of
+    integer matrices are saturated, and the double kernel recovers exactly
+    the rational row span intersected with Z^n.
+    """
+    rows = [list(r) for r in rows]
+    complement = integer_kernel(rows, ambient_rank)
+    saturation = integer_kernel(complement, ambient_rank)
+    hnf, pivots = hermite_normal_form(rows)
+    return all(hnf_contains(hnf, pivots, v) for v in saturation)
 
 
 def test_hyperbolic_plane_invariants():
@@ -24,7 +69,7 @@ def test_e8_minus_invariants():
 
 
 def test_direct_sum_of_two_planes():
-    lat = direct_sum(hyperbolic_plane(), hyperbolic_plane(("w1", "w2")))
+    lat = direct_sum(hyperbolic_plane(), hyperbolic_plane())
     assert lat.rank == 4
     assert lat.determinant() == 1
 
@@ -39,7 +84,9 @@ def test_k3_lattice_invariants():
     assert lam.determinant() == -1
     assert lam.signature() == (3, 19)
     assert lam.is_even()
-    assert lam.labels[:6] == ("v1", "v2", "v1'", "v2'", "v1''", "v2''")
+    # basis order v1, v2, v1', v2', v1'', v2'', e1'..e8', e1''..e8''
+    assert [lam.gram[i][i] for i in range(22)] == [0] * 6 + [-2] * 16
+    assert lam.gram[0][1] == lam.gram[2][3] == lam.gram[4][5] == 1
 
 
 def test_vartheta_action():
@@ -96,11 +143,9 @@ def test_u2_e8m2_model_invariants():
 
 def test_gram_validation():
     with pytest.raises(ValueError):
-        LatticeGram(((0, 1), (2, 0)), ("a", "b"))  # not symmetric
+        LatticeGram(((0, 1), (2, 0)))  # not symmetric
     with pytest.raises(ValueError):
-        LatticeGram(((0, 1),), ("a",))  # not square
-    with pytest.raises(ValueError):
-        LatticeGram(((0,),), ("a", "b"))  # label mismatch
+        LatticeGram(((0, 1),))  # not square
 
 
 def test_primitivity_detects_index_two():

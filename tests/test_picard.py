@@ -147,7 +147,7 @@ def test_even_eight_negative_example():
 
 def test_even_eight_nodes_only_generators():
     gens = [node_class(l) for l in NODE_LABELS]
-    assert not even_eight_test(REMARK_EIGHT, gens)
+    assert not EvenEightTester(gens).test(REMARK_EIGHT)
 
 
 def test_even_eight_cardinality_and_generators_errors():
