@@ -26,7 +26,7 @@ import os
 import tempfile
 
 from .enriques import DescentInference, EnriquesClass, chi_enriques, halve, ulrich_transfer
-from .kummer import Genus2Curve, all_node_points, verify_sixteen_nodes
+from .kummer import Genus2Curve, verify_sixteen_nodes
 from .labels import NODE_LABELS, node_token, parse_node_token
 from .linalg import kernel_basis
 from .picard import (BundleRecipe, HALF_EVEN_EIGHT, PolarizedSurfaceParams, build_theta_star,
@@ -57,24 +57,25 @@ class CertificateIntegrityError(Exception):
 # ---------------------------------------------------------------------------
 
 def evaluation_matrix(d: int, points):
-    """Rows indexed by points, columns by the degree-d monomial basis."""
-    if not points:
-        return [], monomial_basis(d, 4)
-    domain = points[0].domain
+    """Rows indexed by points, columns by the degree-d monomial basis.
+
+    The points must be pairwise distinct and live in one scalar domain.
+    """
+    points = list(points)
+    if len(set(points)) != len(points):
+        raise ValueError("points must be pairwise distinct")
     mons = monomial_basis(d, 4)
     rows = []
     for pt in points:
-        if pt.domain != domain:
+        if pt.domain != points[0].domain:
             raise ValueError("points live in different scalar domains")
-        rows.append([power_product(pt.coordinates, mon, domain) for mon in mons])
+        rows.append([power_product(pt.coordinates, mon, pt.domain) for mon in mons])
     return rows, mons
 
 
 def h0_forms_through_points(d: int, points) -> int:
     """Dimension of degree-d forms in four variables vanishing at the points."""
     points = list(points)
-    if len(set(points)) != len(points):
-        raise ValueError("points must be pairwise distinct")
     rows, mons = evaluation_matrix(d, points)
     if not rows:
         return len(mons)
@@ -83,9 +84,6 @@ def h0_forms_through_points(d: int, points) -> int:
 
 def section_basis(d: int, points, ring) -> list:
     """Polynomials spanning the degree-d forms through the points."""
-    points = list(points)
-    if len(set(points)) != len(points):
-        raise ValueError("points must be pairwise distinct")
     rows, mons = evaluation_matrix(d, points)
     dom = ring.domain
     return [ring.poly({m: c for m, c in zip(mons, vec) if not dom.is_zero(c)})
@@ -217,8 +215,7 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
         raise UnsupportedShapeError(
             "the eight recipe nodes are not an even eight, so the candidate "
             "is not an integral class")
-    domain = quartic.ring.domain
-    prime = getattr(domain, "p", None)
+    prime = getattr(quartic.ring.domain, "p", None)
 
     node_report = verify_sixteen_nodes(quartic, curve)
     cert = UlrichCertificate(
@@ -233,15 +230,23 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
             "codim": node_report.codim,
             "degree": node_report.degree,
         })
-    cert.checks.append(CheckRecord(
-        name="sixteen-nodes",
-        justification="lattice-arithmetic",
-        inputs={"roots": cert.roots, "prime": prime},
-        value={"codim": node_report.codim, "degree": node_report.degree},
-        passed=node_report.passed))
-    if not node_report.passed:
-        cert.refutation_reason = REASON_NODES
-        cert.refutation_witness = {"first_failure": repr(node_report.first_failure)}
+
+    def refuted(records, reason, witness=None) -> bool:
+        """Record one stage's checks; if any failed, refute with the reason
+        and witness and report that the chain stops here."""
+        cert.checks.extend(records)
+        if all(record.passed for record in records):
+            return False
+        cert.refutation_reason = reason
+        cert.refutation_witness = witness
+        return True
+
+    if refuted([CheckRecord(name="sixteen-nodes",
+                            justification="lattice-arithmetic",
+                            inputs={"roots": cert.roots, "prime": prime},
+                            value={"codim": node_report.codim, "degree": node_report.degree},
+                            passed=node_report.passed)],
+               REASON_NODES, {"first_failure": repr(node_report.first_failure)}):
         return cert
 
     h = polarization()
@@ -256,71 +261,51 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
         ("chi-m-minus-h", chi_k3(m - h), 0),
         ("chi-m-minus-2h", chi_k3(m - 2 * h), 0),
     ]
-    numerics_ok = True
-    for name, got, expected in numerical:
-        ok = got == expected
-        numerics_ok = numerics_ok and ok
-        cert.checks.append(CheckRecord(
-            name=name,
-            justification="riemann-roch-k3" if name.startswith("chi") else "lattice-arithmetic",
-            inputs=recipe_inputs, value=str(got), passed=ok))
-    if not numerics_ok:
-        cert.refutation_reason = REASON_NUMERICAL
+    if refuted([CheckRecord(name=name,
+                            justification=("riemann-roch-k3" if name.startswith("chi")
+                                           else "lattice-arithmetic"),
+                            inputs=recipe_inputs, value=str(got), passed=(got == expected))
+                for name, got, expected in numerical],
+               REASON_NUMERICAL):
         return cert
 
     # Even-eight shape: M - H = half the sum of eight nodes.
     difference = m - h
     support = _node_support(difference)
     if difference.doubled[0] == 0 and support.keys() == {1} and len(support[1]) == 8:
-        halves = support[1]
-        divisible = default_even_eight_tester().test(halves)
-        cert.checks.append(CheckRecord(
-            name="even-eight-detection",
-            justification="even-eight-complement",
-            inputs={"labels": [node_token(l) for l in halves]},
-            value={"divisible_by_two": divisible},
-            passed=not divisible))
-        if divisible:
-            cert.refutation_reason = REASON_EVEN_EIGHT
-            cert.refutation_witness = {
-                "labels": [node_token(l) for l in halves],
-                "reason": "effective by even-eight criterion",
-            }
+        halves = [node_token(l) for l in support[1]]
+        divisible = default_even_eight_tester().test(support[1])
+        if refuted([CheckRecord(name="even-eight-detection",
+                                justification="even-eight-complement",
+                                inputs={"labels": halves},
+                                value={"divisible_by_two": divisible},
+                                passed=not divisible)],
+                   REASON_EVEN_EIGHT,
+                   {"labels": halves, "reason": "effective by even-eight criterion"}):
             return cert
 
     theta = build_theta_star()
-    invariance_ok = True
-    for name, cls in (("involution-fixes-polarization", h),
-                      ("involution-fixes-candidate", m)):
-        ok = is_invariant(theta, cls)
-        invariance_ok = invariance_ok and ok
-        cert.checks.append(CheckRecord(
-            name=name, justification="invariant-lattice-descent",
-            inputs=recipe_inputs, value=ok, passed=ok))
-    if not invariance_ok:
-        cert.refutation_reason = REASON_INVARIANCE
+    if refuted([CheckRecord(name=name, justification="invariant-lattice-descent",
+                            inputs=recipe_inputs, value=ok, passed=ok)
+                for name, ok in (("involution-fixes-polarization", is_invariant(theta, h)),
+                                 ("involution-fixes-candidate", is_invariant(theta, m)))],
+               REASON_INVARIANCE):
         return cert
 
-    points = all_node_points(curve, domain)
-    effectivity_ok = True
-    witness = None
-    for checker in (check_two_h_minus_m, check_m_minus_h):
-        outcome = checker(h, m, points, quartic.ring)
-        cert.checks.append(CheckRecord(
-            name=outcome.name,
-            justification="+".join(outcome.inferences),
-            inputs={"degree": outcome.degree,
-                    "labels": [node_token(l) for l in outcome.labels]},
-            value={"h0": outcome.h0, "witness": outcome.witness},
-            passed=outcome.passed))
-        if not outcome.passed:
-            effectivity_ok = False
-            witness = witness or {"check": outcome.name, "h0": outcome.h0,
-                                  "witness": outcome.witness,
-                                  "interpretation": outcome.interpretation}
-    if not effectivity_ok:
-        cert.refutation_reason = REASON_EFFECTIVITY
-        cert.refutation_witness = witness
+    outcomes = [checker(h, m, node_report.points, quartic.ring)
+                for checker in (check_two_h_minus_m, check_m_minus_h)]
+    failed = next((outcome for outcome in outcomes if not outcome.passed), None)
+    if refuted([CheckRecord(name=outcome.name,
+                            justification="+".join(outcome.inferences),
+                            inputs={"degree": outcome.degree,
+                                    "labels": [node_token(l) for l in outcome.labels]},
+                            value={"h0": outcome.h0, "witness": outcome.witness},
+                            passed=outcome.passed)
+                for outcome in outcomes],
+               REASON_EFFECTIVITY,
+               None if failed is None else {"check": failed.name, "h0": failed.h0,
+                                            "witness": failed.witness,
+                                            "interpretation": failed.interpretation}):
         return cert
 
     cert.verdict = "certified"

@@ -255,15 +255,13 @@ class BundleRecipe:
         object.__setattr__(self, "labels", labels)
 
     def divisor(self) -> DivisorClass:
-        if self.kind == TWELVE_NODES:
-            total = 3 * hyperplane_class()
-            for label in self.labels:
-                total = total - node_class(label)
-            return total
-        total = 2 * hyperplane_class()
+        """3L minus each recipe node (twelve-nodes), or 2L minus half of each
+        (half-even-eight)."""
+        l_doubled, node_doubled = (6, -2) if self.kind == TWELVE_NODES else (4, -1)
+        doubled = [l_doubled] + [0] * (RANK - 1)
         for label in self.labels:
-            total = total - Fraction(1, 2) * node_class(label)
-        return total
+            doubled[_INDEX[label]] = node_doubled
+        return DivisorClass.from_doubled(doubled)
 
     def tokens(self):
         return tuple(node_token(l) for l in self.labels)

@@ -81,9 +81,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=grevlex_key)
 
-    def coefficient(self, mon: Monomial):
-        return self.terms.get(tuple(mon), self.ring.domain.zero)
-
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
         dom = self.ring.domain

@@ -6,13 +6,14 @@ import random
 import pytest
 
 from ulrichcert.cohomology import (CertificateIntegrityError, UncertifiedCertificateError,
-                                   UnsupportedShapeError, certificate_body,
+                                   UnsupportedShapeError, _digest, certificate_body,
                                    certify_ulrich, check_m_minus_h, check_two_h_minus_m,
                                    descend_from_document, descend_to_enriques,
                                    h0_forms_through_points, load_certificate_document,
                                    write_certificate)
 from ulrichcert import picard
-from ulrichcert.kummer import all_node_points, parse_quartic
+from ulrichcert.fields import QQ
+from ulrichcert.kummer import all_node_points, load_corpus_quartic, parse_quartic
 from ulrichcert.labels import NODE_LABELS
 from ulrichcert.picard import (BundleRecipe, DEFAULT_TWELVE, HALF_EVEN_EIGHT,
                                even_eight_test, hyperplane_class, polarization)
@@ -43,6 +44,19 @@ def test_h0_twelve_default_nodes_admit_one_quadric(nodes):
 def test_h0_twelve_swapped_nodes_admit_no_quadric(nodes):
     twelve = [nodes[l] for l in SWAPPED_TWELVE]
     assert h0_forms_through_points(2, twelve) == 0
+
+
+@pytest.mark.parametrize("domain", ["gf", "qq"])
+def test_h0_four_twelve_sixteen_nodes(curve, gf, domain):
+    # planes through the four complementary nodes, quadrics through the
+    # twelve recipe nodes, quadrics through all sixteen: the last value is
+    # h0 of 2(H - L), which decides M - H once its four fixed nodes are removed
+    points = all_node_points(curve, gf if domain == "gf" else QQ)
+    four = [points[l] for l in NODE_LABELS if l not in DEFAULT_TWELVE]
+    twelve = [points[l] for l in DEFAULT_TWELVE]
+    assert (h0_forms_through_points(1, four),
+            h0_forms_through_points(2, twelve),
+            h0_forms_through_points(2, list(points.values()))) == (0, 1, 0)
 
 
 def test_h0_empty_point_set(gf):
@@ -256,6 +270,38 @@ def test_certificate_body_is_deterministic(curve, quartic):
     body_a = certificate_body(certify_ulrich(curve, quartic))
     body_b = certificate_body(certify_ulrich(curve, quartic))
     assert json.dumps(body_a, sort_keys=True) == json.dumps(body_b, sort_keys=True)
+
+
+# body digests of each refutation path, pinned so that a refactor of the
+# certification chain cannot change a certificate body unnoticed
+GOLDEN_BODY_DIGESTS = {
+    "effectivity": "4ba54bdb99b4c5d8245390c5194a6ad0318a63685a5ad94f5d741fb211e5a775",
+    "invariance": "898357362a02ab20409db7b820ac822ea0d5e1789c971f99711133c961c45046",
+    "even-eight": "17debb392b8461bf49ac8c1cb5b72495b61a44e05b49a2a885cd7e83bc0facbb",
+    "numerical": "a80a0b39eb5cf333b457c4081b8eddb72e970b7aae47ac1f51424f2fea6455b4",
+    "nodes": "82b230d31c226808c54295bdcc246d777cef028f7feb71076dcb7b9789c8763b",
+    "rational": "fbbd114911b2ee70c1dbc243fbf3082179f9bff6688130845b21c25f8ddd772f",
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_BODY_DIGESTS))
+def test_certificate_body_digest_matches_golden(run, curve, gf, quartic):
+    if run == "invariance":
+        cert = certify_ulrich(curve, quartic, BundleRecipe(labels=SWAPPED_TWELVE))
+    elif run == "even-eight":
+        cert = certify_ulrich(curve, quartic,
+                              BundleRecipe(kind=HALF_EVEN_EIGHT, labels=REMARK_EIGHT))
+    elif run == "numerical":
+        cert = certify_ulrich(curve, quartic, BundleRecipe(labels=DEFAULT_TWELVE[:11]))
+    elif run == "nodes":
+        cert = certify_ulrich(curve, parse_quartic("X^4+Y^4+Z^4+W^4", gf))
+    elif run == "rational":
+        cert = certify_ulrich(curve, load_corpus_quartic(QQ))
+    else:
+        cert = certify_ulrich(curve, quartic)
+    expected_reason = "effectivity" if run == "rational" else run
+    assert cert.refutation_reason == expected_reason
+    assert _digest(certificate_body(cert)) == GOLDEN_BODY_DIGESTS[run]
 
 
 def test_certificate_round_trip_and_integrity(tmp_path, curve, quartic):

@@ -3,13 +3,15 @@ import pathlib
 import subprocess
 import sys
 
+from ulrichcert.cohomology import load_certificate_document
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def run_script(name):
+def run_script(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_sweep_scripts_print_their_summaries():
@@ -29,3 +31,11 @@ def test_even_eight_sweep_output_matches_golden():
     assert sweep.returncode == 0, sweep.stderr
     golden = (ROOT / "tests" / "golden" / "even_eight_sweep.txt").read_text()
     assert sweep.stdout == golden
+
+
+def test_run_certification_refutes_and_writes_a_loadable_certificate(tmp_path):
+    out = tmp_path / "cert.json"
+    run = run_script("run_certification.py", "--out", str(out))
+    assert run.returncode == 1, run.stderr
+    assert "verdict: refuted (effectivity)" in run.stdout.splitlines()
+    assert load_certificate_document(out)["body"]["verdict"] == "refuted"
