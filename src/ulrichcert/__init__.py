@@ -3,20 +3,33 @@ quartic K3 cover of a degree-four polarized quotient surface.
 
 Everything is computed over exact scalar domains (prime fields and the
 rationals); re-running any pipeline yields bit-identical results.
+
+The exported names are resolved on first use (PEP 562), so importing the
+package loads none of its layers.
 """
+import importlib
 
-from .cohomology import (TOOL_VERSION as __version__, certify_ulrich, descend_to_enriques,
-                         h0_forms_through_points)
-from .fields import QQ, PrimeField
-from .kummer import Genus2Curve, load_corpus_quartic, node_point, verify_sixteen_nodes
-from .picard import (BundleRecipe, DivisorClass, build_theta_star, chi_k3,
-                     even_eight_test, hyperplane_class, node_class, numerical_ulrich,
-                     pairing, polarization, trope)
+__version__ = "0.1.0"
 
-__all__ = [
-    "BundleRecipe", "DivisorClass", "Genus2Curve", "PrimeField", "QQ",
-    "build_theta_star", "certify_ulrich", "chi_k3", "descend_to_enriques",
-    "even_eight_test", "h0_forms_through_points", "hyperplane_class",
-    "load_corpus_quartic", "node_class", "node_point", "numerical_ulrich",
-    "pairing", "polarization", "trope", "verify_sixteen_nodes",
-]
+# exported name -> defining module
+_EXPORTS = {
+    "certify_ulrich": "cohomology", "descend_to_enriques": "cohomology",
+    "h0_forms_through_points": "cohomology",
+    "PrimeField": "fields", "QQ": "fields",
+    "Genus2Curve": "kummer", "load_corpus_quartic": "kummer", "node_point": "kummer",
+    "verify_sixteen_nodes": "kummer",
+    "BundleRecipe": "picard", "DivisorClass": "picard", "build_theta_star": "picard",
+    "chi_k3": "picard", "even_eight_test": "picard", "hyperplane_class": "picard",
+    "node_class": "picard", "numerical_ulrich": "picard", "pairing": "picard",
+    "polarization": "picard", "trope": "picard",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -16,18 +16,18 @@ Exit codes are a stable contract:
 Reports are JSON documents with a detachable header (timestamp and tool
 version); bodies are deterministic, so two runs on the same configuration
 produce byte-identical bodies.
+
+Each command imports only the layers it runs, so a lattice check does not
+pay for loading the polynomial and Groebner layers.
 """
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import cohomology, kummer, lattices, picard
-from .fields import QQ, PrimeField
-from .labels import node_token, parse_node_token, trope_token
+from .labels import (DEFAULT_PRIME, DEFAULT_ROOTS, DEFAULT_TWELVE, TWELVE_NODES, node_token,
+                     parse_node_token, trope_token)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -40,31 +40,26 @@ EXIT_EFFECTIVITY = 7
 EXIT_UNCERTIFIED = 8
 EXIT_INTEGRITY = 9
 
-_REASON_EXITS = {
-    cohomology.REASON_NODES: EXIT_NODES,
-    cohomology.REASON_NUMERICAL: EXIT_NUMERICAL,
-    cohomology.REASON_INVARIANCE: EXIT_INVARIANCE,
-    cohomology.REASON_EVEN_EIGHT: EXIT_EVEN_EIGHT,
-    cohomology.REASON_EFFECTIVITY: EXIT_EFFECTIVITY,
-}
-
 
 @dataclass
 class RunConfig:
-    prime: int = kummer.DEFAULT_PRIME
-    roots: tuple = kummer.DEFAULT_ROOTS
+    prime: int = DEFAULT_PRIME
+    roots: tuple = DEFAULT_ROOTS
     quartic_source: str = "corpus:kummer_quartic"
-    recipe_kind: str = picard.TWELVE_NODES
-    recipe_labels: tuple = picard.DEFAULT_TWELVE
+    recipe_kind: str = TWELVE_NODES
+    recipe_labels: tuple = DEFAULT_TWELVE
     out_path: str | None = None
 
-    def curve(self) -> kummer.Genus2Curve:
-        return kummer.Genus2Curve(self.roots)
+    def curve(self):
+        from .kummer import Genus2Curve
+        return Genus2Curve(self.roots)
 
-    def domain(self) -> PrimeField:
+    def domain(self):
+        from .fields import PrimeField
         return PrimeField(self.prime)
 
     def quartic(self):
+        from . import kummer
         kind, _, value = self.quartic_source.partition(":")
         if kind == "corpus":
             return kummer.load_corpus_quartic(self.domain(), value or "kummer_quartic")
@@ -73,11 +68,14 @@ class RunConfig:
         raise ValueError(f"quartic source must be corpus:<name> or inline:<poly>, "
                          f"got {self.quartic_source!r}")
 
-    def recipe(self) -> picard.BundleRecipe:
-        return picard.checked_recipe(self.recipe_kind, self.recipe_labels)
+    def recipe(self):
+        from .picard import checked_recipe
+        return checked_recipe(self.recipe_kind, self.recipe_labels)
 
 
 def load_config(path: str) -> RunConfig:
+    import configparser
+    from fractions import Fraction
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -130,6 +128,8 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _cmd_nodes(args) -> int:
+    from . import kummer
+    from .fields import QQ
     cfg = _resolve_config(args)
     curve = cfg.curve()
     quartic = cfg.quartic()
@@ -142,6 +142,7 @@ def _cmd_nodes(args) -> int:
               f"   mod p ({':'.join(str(c) for c in residues)})")
     print(report.summary())
     if cfg.out_path:
+        from .cohomology import write_json_atomic
         body = {
             "prime": cfg.prime,
             "roots": [str(r) for r in curve.roots],
@@ -158,11 +159,12 @@ def _cmd_nodes(args) -> int:
                 "degree": report.degree,
             },
         }
-        cohomology.write_json_atomic(cfg.out_path, body)
+        write_json_atomic(cfg.out_path, body)
     return EXIT_OK if report.passed else EXIT_NODES
 
 
 def _cmd_certify(args) -> int:
+    from . import cohomology
     cfg = _resolve_config(args)
     cert = cohomology.certify_ulrich(cfg.curve(), cfg.quartic(), cfg.recipe())
     out_path = cfg.out_path or "ulrich_certificate.json"
@@ -174,11 +176,33 @@ def _cmd_certify(args) -> int:
     print(f"certificate written to {out_path}")
     if cert.verdict == "certified":
         return EXIT_OK
-    return _REASON_EXITS.get(cert.refutation_reason, EXIT_FAILURE)
+    reason_exits = {
+        cohomology.REASON_NODES: EXIT_NODES,
+        cohomology.REASON_NUMERICAL: EXIT_NUMERICAL,
+        cohomology.REASON_INVARIANCE: EXIT_INVARIANCE,
+        cohomology.REASON_EVEN_EIGHT: EXIT_EVEN_EIGHT,
+        cohomology.REASON_EFFECTIVITY: EXIT_EFFECTIVITY,
+    }
+    return reason_exits.get(cert.refutation_reason, EXIT_FAILURE)
 
 
 def _cmd_lattice(args) -> int:
     sub = args.check
+    if sub == "horikawa":
+        from . import lattices
+        lattice = lattices.k3_lattice()
+        vartheta = lattices.build_vartheta(lattice)
+        invariant, _ = lattices.invariant_sublattice(lattice, vartheta)
+        sig = invariant.signature()
+        det = invariant.determinant()
+        even = invariant.all_entries_even()
+        print(f"  invariant sublattice rank: {invariant.rank}")
+        print(f"  determinant: {det}")
+        print(f"  signature: {sig}")
+        print(f"  all Gram entries even: {even}")
+        ok = (invariant.rank, det, sig, even) == (10, -1024, (1, 9), True)
+        return EXIT_OK if ok else EXIT_FAILURE
+    from . import picard
     if sub == "theta-check":
         theta = picard.build_theta_star()  # construction asserts the table
         node_images = {picard.trope(picard.THETA_SWAP[l]) for l in picard.NODE_LABELS}
@@ -207,29 +231,23 @@ def _cmd_lattice(args) -> int:
         print(f"  positive eight-subsets: {len(positives)} of 12870")
         print(f"  closed under complementation: {'pass' if closed else 'FAIL'}")
         return EXIT_OK if closed else EXIT_FAILURE
-    if sub == "horikawa":
-        lattice = lattices.k3_lattice()
-        vartheta = lattices.build_vartheta(lattice)
-        invariant, _ = lattices.invariant_sublattice(lattice, vartheta)
-        sig = invariant.signature()
-        det = invariant.determinant()
-        even = invariant.all_entries_even()
-        print(f"  invariant sublattice rank: {invariant.rank}")
-        print(f"  determinant: {det}")
-        print(f"  signature: {sig}")
-        print(f"  all Gram entries even: {even}")
-        ok = (invariant.rank, det, sig, even) == (10, -1024, (1, 9), True)
-        return EXIT_OK if ok else EXIT_FAILURE
     raise ValueError(f"unknown lattice check {sub!r}")
 
 
 def _cmd_descend(args) -> int:
+    from . import cohomology
     try:
         document = cohomology.load_certificate_document(args.certificate)
+        report = cohomology.descend_from_document(document)
     except FileNotFoundError:
         print(f"certificate file {args.certificate!r} not found", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    report = cohomology.descend_from_document(document)
+    except cohomology.CertificateIntegrityError as exc:
+        print(f"integrity error: {exc}", file=sys.stderr)
+        return EXIT_INTEGRITY
+    except cohomology.UncertifiedCertificateError as exc:
+        print(f"descent error: {exc}", file=sys.stderr)
+        return EXIT_UNCERTIFIED
     for name, cover, quotient in report.halving:
         print(f"  {name}: {cover} on the cover -> {quotient} on the quotient")
     print(f"  chi of the quotient polarization: {report.chi_polarization}")
@@ -282,12 +300,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except cohomology.CertificateIntegrityError as exc:
-        print(f"integrity error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except cohomology.UncertifiedCertificateError as exc:
-        print(f"descent error: {exc}", file=sys.stderr)
-        return EXIT_UNCERTIFIED
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

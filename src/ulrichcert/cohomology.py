@@ -25,6 +25,7 @@ import json
 import os
 import tempfile
 
+from . import __version__ as TOOL_VERSION
 from .enriques import DescentInference, EnriquesClass, chi_enriques, halve, ulrich_transfer
 from .kummer import Genus2Curve, verify_sixteen_nodes
 from .labels import NODE_LABELS, node_token, parse_node_token
@@ -35,7 +36,6 @@ from .picard import (BundleRecipe, HALF_EVEN_EIGHT, PolarizedSurfaceParams, buil
 from .polynomials import Poly, format_polynomial, monomial_basis, power_product
 
 TOOL_NAME = "ulrichcert"
-TOOL_VERSION = "0.1.0"
 CERTIFICATE_FORMAT = "ulrich-certificate/1"
 REPORT_FORMAT = "enriques-report/1"
 
@@ -371,18 +371,24 @@ def certificate_document(cert: UlrichCertificate) -> dict:
 
 
 def write_json_atomic(path, document: dict):
-    """Serialize to a temp file in the target directory and rename over."""
+    """Serialize to a temp file in the target directory and rename over.
+
+    An ``OSError`` names ``path``, not the temp file, and leaves no temp file.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             json.dump(document, handle, indent=2)
             handle.write("\n")
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -6,23 +6,27 @@ variable, which is how tests and callers substitute their own inputs.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 ENV_VAR = "ULRICHCERT_CORPUS"
 
 
-def corpus_dir() -> Path:
+def corpus_dir() -> str:
     override = os.environ.get(ENV_VAR)
     if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "corpus"
+        return override
+    return os.path.join(os.path.dirname(os.path.realpath(__file__)), "corpus")
 
 
 def read_text(name: str) -> str:
-    path = corpus_dir() / f"{name}.txt"
-    if not path.is_file():
+    """The text of ``<name>.txt``; ``name`` must be a bare file name, so no
+    corpus name reaches outside the corpus directory."""
+    if os.path.basename(name) != name:
+        raise ValueError(f"corpus name {name!r} is not a bare file name")
+    path = os.path.join(corpus_dir(), f"{name}.txt")
+    if not os.path.isfile(path):
         raise FileNotFoundError(f"corpus file {path} not found")
-    return path.read_text()
+    with open(path) as handle:
+        return handle.read()
 
 
 def read_integer_matrix(name: str):

@@ -22,12 +22,10 @@ from fractions import Fraction
 from . import corpus
 from .fields import QQ, PrimeField
 from .groebner import buchberger, hilbert_degree_codim
-from .labels import NODE_LABELS, validate_node_label
+from .labels import DEFAULT_PRIME, DEFAULT_ROOTS, NODE_LABELS, validate_node_label
 from .polynomials import Poly, PolyRing, ProjectivePoint, parse_polynomial, partial_derivatives
 
 QUARTIC_VARIABLES = ("X", "Y", "Z", "W")
-DEFAULT_ROOTS = (1, -1, 2, -2, 3, -3)
-DEFAULT_PRIME = 32003
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,25 @@ A node label is either ``(0,)``, the image of the origin, or a sorted pair
 points. Tropes are labelled by an index 1..6 or by a triple ``(i, j, 6)``
 with i < j <= 5. Tokens are the compact strings ``E0, E12, ..., E56`` and
 ``T1, ..., T6, T126, ..., T456``.
+
+It also holds the constants of the reference configuration and the term
+splitter shared by the polynomial and divisor parsers, so that callers
+which only need these do not import the layers that own them.
 """
 from __future__ import annotations
+
+import re
+
+DEFAULT_PRIME = 32003
+DEFAULT_ROOTS = (1, -1, 2, -2, 3, -3)
+
+# Recipe kinds of a candidate class M.
+TWELVE_NODES = "twelve-nodes"
+HALF_EVEN_EIGHT = "half-even-eight"
+
+# Printed recipe of the reference construction: 3L minus these twelve nodes.
+DEFAULT_TWELVE = ((0,), (1, 6), (2, 6), (3, 6), (4, 6), (5, 6),
+                  (1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (3, 5))
 
 NODE_LABELS = ((0,),) + tuple(
     (i, j) for i in range(1, 7) for j in range(i + 1, 7))
@@ -63,3 +80,26 @@ def validate_node_label(label):
                 and 1 <= i <= 6 and 1 <= j <= 6:
             return (i, j) if i < j else (j, i)
     raise ValueError(f"invalid node label {label!r}")
+
+
+_TERM_RE = re.compile(r"[+-]?[^+-]+")
+
+
+def split_terms(text: str, what: str) -> list:
+    """The signed terms of a sum, ``['3*X^2', '-Y']`` for ``3*X^2 - Y``.
+
+    Whitespace is dropped and each term keeps its sign character, if it has
+    one; ``what`` names the input in the error raised for text that is not a
+    sum of terms.
+    """
+    compact = "".join(text.split())
+    terms = []
+    pos = 0
+    for match in _TERM_RE.finditer(compact):
+        if match.start() != pos:
+            raise ValueError(f"cannot parse {what} near {compact[pos:pos+20]!r}")
+        pos = match.end()
+        terms.append(match.group())
+    if pos != len(compact):
+        raise ValueError(f"trailing garbage in {what}: {compact[pos:]!r}")
+    return terms

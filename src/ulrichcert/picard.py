@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 import functools
 
-from .labels import (NODE_LABELS, TROPE_LABELS, node_token, parse_node_token,
-                     parse_trope_token, validate_node_label)
+from .labels import (DEFAULT_TWELVE, HALF_EVEN_EIGHT, NODE_LABELS, TROPE_LABELS, TWELVE_NODES,
+                     node_token, parse_node_token, parse_trope_token, split_terms,
+                     validate_node_label)
 from .linalg import hermite_normal_form, hnf_contains, identity, matmul, matvec, transpose
-from .polynomials import split_terms
 
 BASIS = ("L",) + NODE_LABELS
 _INDEX = {name: k for k, name in enumerate(BASIS)}
@@ -230,14 +230,6 @@ def numerical_ulrich(params: PolarizedSurfaceParams, h: DivisorClass,
 # ---------------------------------------------------------------------------
 # Bundle recipes
 # ---------------------------------------------------------------------------
-
-TWELVE_NODES = "twelve-nodes"
-HALF_EVEN_EIGHT = "half-even-eight"
-
-# Printed recipe of the reference construction: 3L minus these twelve nodes.
-DEFAULT_TWELVE = ((0,), (1, 6), (2, 6), (3, 6), (4, 6), (5, 6),
-                  (1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (3, 5))
-
 
 @dataclass(frozen=True)
 class BundleRecipe:

@@ -13,6 +13,8 @@ import itertools
 import math
 import re
 
+from .labels import split_terms
+
 Monomial = tuple
 
 
@@ -212,28 +214,7 @@ def monomial_basis(d: int, n: int):
     return mons
 
 
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
 _FACTOR_RE = re.compile(r"^([A-Za-z_]\w*)(?:\^(\d+))?$")
-
-
-def split_terms(text: str, what: str) -> list:
-    """The signed terms of a sum, ``['3*X^2', '-Y']`` for ``3*X^2 - Y``.
-
-    Whitespace is dropped and each term keeps its sign character, if it has
-    one; ``what`` names the input in the error raised for text that is not a
-    sum of terms.
-    """
-    compact = "".join(text.split())
-    terms = []
-    pos = 0
-    for match in _TERM_RE.finditer(compact):
-        if match.start() != pos:
-            raise ValueError(f"cannot parse {what} near {compact[pos:pos+20]!r}")
-        pos = match.end()
-        terms.append(match.group())
-    if pos != len(compact):
-        raise ValueError(f"trailing garbage in {what}: {compact[pos:]!r}")
-    return terms
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Poly:

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
 import ulrichcert
-from ulrichcert import cli
+from ulrichcert import cli, corpus
 from ulrichcert.cohomology import certify_ulrich, write_certificate
 from ulrichcert.kummer import default_curve, default_field, load_corpus_quartic
 
@@ -103,6 +106,36 @@ def test_nodes_prime_beyond_primality_bound_rejected(capsys):
 def test_nodes_conflicting_config_flags(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg")
     assert cli.main(["nodes", "--config", cfg, "--paper-defaults"]) == cli.EXIT_CONFIG
+
+
+def test_corpus_name_outside_corpus_directory_is_config_error(tmp_path, capsys):
+    # a readable quartic outside the corpus directory, which must stay unread
+    (tmp_path / "evil.txt").write_text(corpus.read_text("kummer_quartic"))
+    relative = os.path.relpath(tmp_path / "evil", corpus.corpus_dir())
+    for name in (relative, str(tmp_path / "evil")):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"[surface]\nquartic = corpus:{name}\n")
+        assert cli.main(["nodes", "--config", str(path)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "sixteen-nodes check" not in captured.out
+        assert "not a bare file name" in captured.err
+
+
+def test_certify_out_in_missing_directory_names_the_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "cert.json"
+    assert cli.main(["certify", "--paper-defaults", "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert repr(str(out)) in err and ".tmp" not in err
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_nodes_out_naming_a_directory_names_the_path(tmp_path, capsys):
+    out = tmp_path / "adir"
+    out.mkdir()
+    assert cli.main(["nodes", "--paper-defaults", "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert repr(str(out)) in err and ".tmp" not in err
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_certify_paper_defaults_refuted_effectivity(tmp_path, capsys):
@@ -290,3 +323,50 @@ def test_version_matches_package_metadata():
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M).group(1)
     assert ulrichcert.__version__ == declared
+
+
+LAYERS = {"cohomology", "kummer", "groebner", "polynomials", "picard", "lattices", "fields"}
+CERTIFY_CHAIN = {"kummer", "groebner", "polynomials", "cohomology"}
+
+
+def modules_loaded_by(argv):
+    """The ``ulrichcert`` layers a fresh interpreter has loaded after importing
+    ``ulrichcert.cli`` and, when ``argv`` is given, running that command."""
+    probe = ("import io, contextlib, sys\n"
+             "import ulrichcert.cli as cli\n"
+             f"argv = {argv!r}\n"
+             "if argv is not None:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert cli.main(argv) == cli.EXIT_OK\n"
+             "print(' '.join(m.split('.', 1)[1] for m in sys.modules\n"
+             "               if m.startswith('ulrichcert.')))\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+@pytest.mark.parametrize("argv, needed, absent", [
+    (None, set(), LAYERS),
+    (["lattice", "horikawa"], {"lattices"}, {"picard"} | CERTIFY_CHAIN),
+    (["lattice", "theta-check"], {"picard"}, CERTIFY_CHAIN),
+    (["lattice", "incidence"], {"picard"}, CERTIFY_CHAIN),
+    (["lattice", "even-eights"], {"picard"}, CERTIFY_CHAIN),
+    (["nodes", "--paper-defaults"], {"kummer", "fields"}, {"cohomology"}),
+], ids=["import", "horikawa", "theta-check", "incidence", "even-eights", "nodes"])
+def test_each_command_imports_only_its_layers(argv, needed, absent):
+    loaded = modules_loaded_by(argv)
+    assert needed <= loaded
+    assert not loaded & absent, sorted(loaded & absent)
+
+
+def test_package_exports_resolve_lazily():
+    from ulrichcert import cohomology
+    namespace = {}
+    exec("from ulrichcert import *", namespace)
+    assert set(ulrichcert.__all__) <= set(namespace)
+    assert namespace["certify_ulrich"] is cohomology.certify_ulrich
+    assert ulrichcert.__version__ == cohomology.TOOL_VERSION == "0.1.0"
+    with pytest.raises(AttributeError):
+        ulrichcert.no_such_export
