@@ -120,10 +120,6 @@ def _resolve_config(args) -> RunConfig:
         cfg.prime = args.prime
     if args.out is not None:
         cfg.out_path = args.out
-    # validate eagerly so config errors surface before any computation
-    cfg.curve()
-    cfg.domain()
-    cfg.recipe()
     return cfg
 
 
@@ -152,12 +148,7 @@ def _cmd_nodes(args) -> int:
                  "residues": [int(c) for c in report.points[label].coordinates]}
                 for label in rational
             ],
-            "verification": {
-                "passed": report.passed,
-                "distinct": report.distinct,
-                "codim": report.codim,
-                "degree": report.degree,
-            },
+            "verification": report.evidence(),
         }
         write_json_atomic(cfg.out_path, body)
     return EXIT_OK if report.passed else EXIT_NODES

@@ -23,10 +23,10 @@ import datetime
 import hashlib
 import json
 import os
-import tempfile
 
 from . import __version__ as TOOL_VERSION
-from .enriques import DescentInference, EnriquesClass, chi_enriques, halve, ulrich_transfer
+from .enriques import (JUSTIFICATIONS, DescentInference, EnriquesClass, chi_enriques, halve,
+                       ulrich_transfer)
 from .kummer import Genus2Curve, verify_sixteen_nodes
 from .labels import NODE_LABELS, node_token, parse_node_token
 from .linalg import kernel_basis
@@ -165,11 +165,19 @@ def check_m_minus_h(h, m, points_by_label, ring) -> EffectivityValue:
 
 @dataclass
 class CheckRecord:
+    """One certificate step; ``justification`` is one or more whitelisted
+    tags from ``enriques.JUSTIFICATIONS``, joined by ``+``."""
+
     name: str
     justification: str
     inputs: dict
     value: object
     passed: bool
+
+    def __post_init__(self):
+        for tag in self.justification.split("+"):
+            if tag not in JUSTIFICATIONS:
+                raise ValueError(f"unknown justification tag {tag!r} in check {self.name!r}")
 
 
 @dataclass
@@ -224,12 +232,7 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
         quartic_text=format_polynomial(quartic),
         recipe=recipe,
         s=params.s,
-        node_summary={
-            "passed": node_report.passed,
-            "distinct": node_report.distinct,
-            "codim": node_report.codim,
-            "degree": node_report.degree,
-        })
+        node_summary=node_report.evidence())
 
     def refuted(records, reason, witness=None) -> bool:
         """Record one stage's checks; if any failed, refute with the reason
@@ -373,13 +376,16 @@ def certificate_document(cert: UlrichCertificate) -> dict:
 def write_json_atomic(path, document: dict):
     """Serialize to a temp file in the target directory and rename over.
 
-    An ``OSError`` names ``path``, not the temp file, and leaves no temp file.
+    The temp file is created exclusively with mode 0o666 less the umask, the
+    mode that ``open(path, "w")`` gives a new file. An ``OSError`` names
+    ``path``, not the temp file, and leaves no temp file.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
+    candidate = os.path.join(os.path.dirname(path) or ".", f"tmp{os.urandom(8).hex()}.tmp")
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd = os.open(candidate, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = candidate
         with os.fdopen(fd, "w") as handle:
             json.dump(document, handle, indent=2)
             handle.write("\n")
@@ -432,16 +438,29 @@ class EnriquesReport:
 
 
 def descend_to_enriques(cert: UlrichCertificate) -> EnriquesReport:
-    """Transfer a certified cover-side certificate down the double cover."""
-    if cert.verdict != "certified":
+    """Transfer a certified cover-side certificate down the double cover,
+    with the same checks as a certificate read from a file."""
+    return descend_from_document(certificate_document(cert))
+
+
+def descend_from_document(document: dict) -> EnriquesReport:
+    """The quotient-side report of a certificate document.
+
+    The body must record a certified verdict and a well-formed recipe, and
+    the recipe class is re-checked to be fixed by the switch involution: the
+    recorded verdict alone is not trusted.
+    """
+    body = document["body"]
+    if body.get("verdict") != "certified":
         raise UncertifiedCertificateError(
-            f"certificate verdict is {cert.verdict!r}; descent needs a certified run")
-    return _descend(cert.recipe)
-
-
-def _descend(recipe: BundleRecipe) -> EnriquesReport:
-    """The quotient-side report, after re-checking that the recipe class is
-    fixed by the switch involution; the recorded verdict alone is not trusted."""
+            f"certificate verdict is {body.get('verdict')!r}")
+    try:
+        recipe = checked_recipe(
+            body["recipe"]["kind"],
+            tuple(parse_node_token(t) for t in body["recipe"]["labels"]))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CertificateIntegrityError(
+            f"certificate body has a malformed recipe: {exc!r}") from exc
     h = polarization()
     m = recipe.divisor()
     if not is_invariant(build_theta_star(), m):
@@ -474,22 +493,6 @@ def _descend(recipe: BundleRecipe) -> EnriquesReport:
         inferences=inferences,
         conclusion="N and N+K_Y are Ulrich line bundles for H_Y",
     )
-
-
-def descend_from_document(document: dict) -> EnriquesReport:
-    """Descent driven by a loaded certificate document."""
-    body = document["body"]
-    if body.get("verdict") != "certified":
-        raise UncertifiedCertificateError(
-            f"certificate verdict is {body.get('verdict')!r}")
-    try:
-        recipe = checked_recipe(
-            body["recipe"]["kind"],
-            tuple(parse_node_token(t) for t in body["recipe"]["labels"]))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CertificateIntegrityError(
-            f"certificate body has a malformed recipe: {exc!r}") from exc
-    return _descend(recipe)
 
 
 def report_document(report: EnriquesReport, certificate_digest: str | None = None) -> dict:

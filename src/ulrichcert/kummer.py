@@ -115,6 +115,12 @@ class NodeVerification:
     first_failure: object = None       # first failing label or colliding pair
     points: dict = field(default_factory=dict)
 
+    def evidence(self) -> dict:
+        """The verdict and singular-locus numbers, as written to certificates
+        and node reports."""
+        return {"passed": self.passed, "distinct": self.distinct,
+                "codim": self.codim, "degree": self.degree}
+
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
         return (f"sixteen-nodes check: {status}, singular locus (codim, degree) = "

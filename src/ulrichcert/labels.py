@@ -7,8 +7,9 @@ with i < j <= 5. Tokens are the compact strings ``E0, E12, ..., E56`` and
 ``T1, ..., T6, T126, ..., T456``.
 
 It also holds the constants of the reference configuration and the term
-splitter shared by the polynomial and divisor parsers, so that callers
-which only need these do not import the layers that own them.
+splitter and joiner shared by the polynomial and divisor parsers and
+printers, so that callers which only need these do not import the layers
+that own them.
 """
 from __future__ import annotations
 
@@ -103,3 +104,13 @@ def split_terms(text: str, what: str) -> list:
     if pos != len(compact):
         raise ValueError(f"trailing garbage in {what}: {compact[pos:]!r}")
     return terms
+
+
+def join_terms(terms) -> str:
+    """The sum of signed terms, the inverse of :func:`split_terms`.
+
+    A term without a sign character is positive; the first term is written
+    without ``+``, and the empty sum is ``0``.
+    """
+    text = "".join(t if t.startswith(("+", "-")) else "+" + t for t in terms)
+    return text.removeprefix("+") or "0"

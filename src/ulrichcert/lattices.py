@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import corpus
-from .linalg import determinant, identity, integer_kernel, matmul, matvec, signature, transpose
+from .linalg import (check_scaled_involution, determinant, integer_kernel, matmul, matvec,
+                     signature, transpose)
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,7 @@ class LatticeInvolution:
 
     def __init__(self, lattice: LatticeGram, matrix):
         matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        n = lattice.rank
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError("involution matrix has wrong shape")
-        if matmul(matrix, matrix) != identity(n):
-            raise ValueError("matrix squared is not the identity")
-        congruent = matmul(matmul(transpose(matrix), lattice.gram), matrix)
-        if congruent != lattice.gram:
-            raise ValueError("matrix does not preserve the gram form")
+        check_scaled_involution(matrix, lattice.gram, 1)
         self.lattice = lattice
         self.matrix = matrix
 
@@ -130,11 +124,5 @@ def invariant_sublattice(lattice: LatticeGram, inv: LatticeInvolution):
     delta = [[inv.matrix[i][j] - (1 if i == j else 0) for j in range(n)]
              for i in range(n)]
     basis = integer_kernel(delta, n)
-    gram = tuple(
-        tuple(_form_value(lattice.gram, u, v) for v in basis) for u in basis)
+    gram = matmul(matmul(basis, lattice.gram), transpose(basis))
     return LatticeGram(gram), [tuple(b) for b in basis]
-
-
-def _form_value(gram, u, v):
-    n = len(gram)
-    return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))

@@ -1,5 +1,6 @@
 """Exact linear algebra: Gaussian elimination over a field domain, matrix
-products, and Hermite normal form over the integers.
+products, Hermite normal form over the integers, and one congruence
+diagonalization for determinants and signatures of symmetric forms.
 
 Conventions, fixed so that every routine is bit-for-bit deterministic:
 
@@ -12,6 +13,7 @@ Conventions, fixed so that every routine is bit-for-bit deterministic:
 from __future__ import annotations
 
 from fractions import Fraction
+import math
 
 
 def rref(rows, ncols, domain):
@@ -157,34 +159,31 @@ def integer_kernel(rows, ncols):
     return basis
 
 
-def determinant(rows):
-    """Exact determinant of a square integer or rational matrix."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix is not square")
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if mat[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for r in range(c + 1, n):
-            if mat[r][c] != 0:
-                f = mat[r][c] * inv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[c])]
-    return det
+def check_scaled_involution(matrix, gram, k):
+    """Raise ``ValueError`` unless M M = k^2 I and M^T G M = k^2 G.
+
+    These say that M / k is an involution preserving the symmetric form G;
+    an integer M with k > 1 carries an involution with fractional entries.
+    """
+    n = len(gram)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError("involution matrix has wrong shape")
+    square = k * k
+    if matmul(matrix, matrix) != tuple(tuple(square * x for x in row) for row in identity(n)):
+        raise ValueError("map is not an involution")
+    if matmul(matmul(transpose(matrix), gram), matrix) != tuple(
+            tuple(square * x for x in row) for row in gram):
+        raise ValueError("map does not preserve the intersection form")
 
 
-def signature(gram):
-    """Signature (n_plus, n_minus) of a nondegenerate symmetric matrix.
+def _congruence_diagonal(gram):
+    """Diagonal of a matrix congruent over the rationals to the symmetric
+    matrix ``gram``, or None if the form is degenerate.
 
-    Uses exact symmetric congruence diagonalization over the rationals
-    (simultaneous row and column operations), never numerics.
+    The elimination uses simultaneous row and column operations: adding a
+    multiple of one index to another, and swapping two indices. Both keep
+    the determinant and the signature, which are then read off the diagonal
+    exactly, never by numerics.
     """
     mat = [[Fraction(x) for x in row] for row in gram]
     n = len(mat)
@@ -206,23 +205,36 @@ def signature(gram):
         for r in range(n):
             mat[r][i], mat[r][j] = mat[r][j], mat[r][i]
 
-    pos = neg = 0
+    diagonal = []
     for k in range(n):
         if mat[k][k] == 0:
             j = next((j for j in range(k + 1, n) if mat[j][j] != 0), None)
             if j is not None:
                 swap_row_col(k, j)
             else:
+                # row k vanishes left of the diagonal, so a zero row is degenerate
                 j = next((j for j in range(k + 1, n) if mat[k][j] != 0), None)
                 if j is None:
-                    raise ValueError("degenerate symmetric form")
+                    return None
                 add_row_col(k, j, Fraction(1))
         d = mat[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+        diagonal.append(d)
         for i in range(k + 1, n):
             if mat[i][k] != 0:
                 add_row_col(i, k, -mat[i][k] / d)
-    return pos, neg
+    return diagonal
+
+
+def determinant(rows):
+    """Exact determinant of a square symmetric integer or rational matrix."""
+    diagonal = _congruence_diagonal(rows)
+    return Fraction(0) if diagonal is None else math.prod(diagonal, start=Fraction(1))
+
+
+def signature(gram):
+    """Signature (n_plus, n_minus) of a nondegenerate symmetric matrix."""
+    diagonal = _congruence_diagonal(gram)
+    if diagonal is None:
+        raise ValueError("degenerate symmetric form")
+    positive = sum(1 for d in diagonal if d > 0)
+    return positive, len(diagonal) - positive

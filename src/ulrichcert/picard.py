@@ -23,9 +23,10 @@ from fractions import Fraction
 import functools
 
 from .labels import (DEFAULT_TWELVE, HALF_EVEN_EIGHT, NODE_LABELS, TROPE_LABELS, TWELVE_NODES,
-                     node_token, parse_node_token, parse_trope_token, split_terms,
+                     join_terms, node_token, parse_node_token, parse_trope_token, split_terms,
                      validate_node_label)
-from .linalg import hermite_normal_form, hnf_contains, identity, matmul, matvec, transpose
+from .linalg import (check_scaled_involution, hermite_normal_form, hnf_contains, identity,
+                     matvec, transpose)
 
 BASIS = ("L",) + NODE_LABELS
 _INDEX = {name: k for k, name in enumerate(BASIS)}
@@ -164,14 +165,8 @@ class Involution:
 
     def __init__(self, columns):
         """columns[k] is the image of basis vector k, as a DivisorClass."""
-        columns = list(columns)
-        if len(columns) != RANK:
-            raise ValueError(f"expected {RANK} columns")
         matrix = transpose([c.doubled for c in columns])
-        if matmul(matrix, matrix) != _scaled(4, identity(RANK)):
-            raise ValueError("map is not an involution")
-        if matmul(matmul(transpose(matrix), _GRAM), matrix) != _scaled(4, _GRAM):
-            raise ValueError("map does not preserve the intersection form")
+        check_scaled_involution(matrix, _GRAM, 2)
         self.matrix = matrix
 
     def apply(self, d: DivisorClass) -> DivisorClass:
@@ -180,10 +175,6 @@ class Involution:
         if odd is not None:
             raise ValueError(f"coefficient {Fraction(odd, 4)} has denominator outside {{1, 2}}")
         return DivisorClass.from_doubled(x // 2 for x in image)
-
-
-def _scaled(k, m):
-    return tuple(tuple(k * x for x in row) for row in m)
 
 
 def build_theta_star() -> Involution:
@@ -418,9 +409,7 @@ def parse_divisor(text: str) -> DivisorClass:
 
 
 def format_divisor(d: DivisorClass) -> str:
-    if not any(d.doubled):
-        return "0"
-    pieces = []
+    terms = []
     for name, doubled in zip(BASIS, d.doubled):
         if doubled == 0:
             continue
@@ -428,8 +417,5 @@ def format_divisor(d: DivisorClass) -> str:
         token = "L" if name == "L" else node_token(name)
         mag = abs(c)
         body = token if mag == 1 else f"{mag}*{token}"
-        if not pieces:
-            pieces.append(body if c > 0 else "-" + body)
-        else:
-            pieces.append(("+" if c > 0 else "-") + body)
-    return "".join(pieces)
+        terms.append(body if c > 0 else "-" + body)
+    return join_terms(terms)

@@ -13,7 +13,7 @@ import itertools
 import math
 import re
 
-from .labels import split_terms
+from .labels import join_terms, split_terms
 
 Monomial = tuple
 
@@ -242,27 +242,18 @@ def parse_polynomial(text: str, ring: PolyRing) -> Poly:
 
 def format_polynomial(f: Poly) -> str:
     """Canonical text form: grevlex-descending terms, '^' powers, '*' products."""
-    if f.is_zero():
-        return "0"
     names = f.ring.variables
-    pieces = []
+    terms = []
     for mon in sorted(f.terms, key=grevlex_key, reverse=True):
-        coeff = f.terms[mon]
-        text = str(coeff)
-        neg = text.startswith("-")
-        if neg:
-            text = text[1:]
+        text = str(f.terms[mon])
+        sign, magnitude = ("-", text[1:]) if text.startswith("-") else ("", text)
         factors = []
-        if text != "1" or not any(mon):
-            factors.append(text)
+        if magnitude != "1" or not any(mon):
+            factors.append(magnitude)
         for name, e in zip(names, mon):
             if e == 1:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        body = "*".join(factors)
-        if not pieces:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append(("-" if neg else "+") + body)
-    return "".join(pieces)
+        terms.append(sign + "*".join(factors))
+    return join_terms(terms)

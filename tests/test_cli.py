@@ -90,6 +90,16 @@ def test_nodes_malformed_ini_is_config_error(tmp_path, capsys, text):
     assert "Traceback" not in err and "malformed config file" in err
 
 
+def test_nodes_ignores_malformed_bundle_that_certify_rejects(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", labels="E0, E12")
+    assert cli.main(["nodes", "--config", cfg]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert "(1:1:-2:-44)" in captured.out and "(3, 16)" in captured.out
+    assert captured.err == ""
+    assert cli.main(["certify", "--config", cfg]) == cli.EXIT_CONFIG
+    assert "needs exactly 12 labels, got 2" in capsys.readouterr().err
+
+
 def test_nodes_composite_prime_rejected(capsys):
     assert cli.main(["nodes", "--paper-defaults", "--prime", "32004"]) == cli.EXIT_CONFIG
 
@@ -196,6 +206,20 @@ def certified_certificate_path(tmp_path):
     path = tmp_path / "certified.json"
     write_certificate(path, cert)
     return path
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_honour_the_umask(tmp_path, capsys, umask, mode):
+    certified = certified_certificate_path(tmp_path)
+    previous = os.umask(umask)
+    try:
+        cli.main(["certify", "--paper-defaults", "--out", str(tmp_path / "cert.json")])
+        assert cli.main(["nodes", "--paper-defaults", "--out", str(tmp_path / "nodes.json")]) == 0
+        assert cli.main(["descend", str(certified), "--out", str(tmp_path / "report.json")]) == 0
+    finally:
+        os.umask(previous)
+    for name in ("cert.json", "nodes.json", "report.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
 def test_descend_on_certified_certificate(tmp_path, capsys):
@@ -353,7 +377,7 @@ def modules_loaded_by(argv):
     (["lattice", "theta-check"], {"picard"}, CERTIFY_CHAIN),
     (["lattice", "incidence"], {"picard"}, CERTIFY_CHAIN),
     (["lattice", "even-eights"], {"picard"}, CERTIFY_CHAIN),
-    (["nodes", "--paper-defaults"], {"kummer", "fields"}, {"cohomology"}),
+    (["nodes", "--paper-defaults"], {"kummer", "fields"}, {"cohomology", "picard", "linalg"}),
 ], ids=["import", "horikawa", "theta-check", "incidence", "even-eights", "nodes"])
 def test_each_command_imports_only_its_layers(argv, needed, absent):
     loaded = modules_loaded_by(argv)

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from ulrichcert.cohomology import (CertificateIntegrityError, UncertifiedCertificateError,
+from ulrichcert.cohomology import (CertificateIntegrityError, CheckRecord,
+                                   UncertifiedCertificateError,
                                    UnsupportedShapeError, _digest, certificate_body,
                                    certify_ulrich, check_m_minus_h, check_two_h_minus_m,
                                    descend_from_document, descend_to_enriques,
@@ -335,6 +336,21 @@ def certified_fixture(curve, quartic):
 def test_descend_refuses_refuted(curve, quartic):
     with pytest.raises(UncertifiedCertificateError):
         descend_to_enriques(certify_ulrich(curve, quartic))
+
+
+def test_descend_in_memory_checks_the_recipe(curve, quartic):
+    cert = certified_fixture(curve, quartic)
+    cert.recipe = BundleRecipe(labels=DEFAULT_TWELVE[:11])
+    with pytest.raises(CertificateIntegrityError, match="needs exactly 12 labels"):
+        descend_to_enriques(cert)
+
+
+def test_check_record_rejects_unknown_justification_tag():
+    CheckRecord(name="x", justification="doubling+finite-field-model", inputs={},
+                value=None, passed=True)
+    with pytest.raises(ValueError, match="'no-such-tag'"):
+        CheckRecord(name="x", justification="doubling+no-such-tag", inputs={},
+                    value=None, passed=True)
 
 
 def test_descend_report_numbers(curve, quartic):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulrichcert.fields import QQ, PrimeField
-from ulrichcert.linalg import (determinant, hermite_normal_form, hnf_contains,
-                               integer_kernel, kernel_basis, rank, signature)
+from ulrichcert.linalg import (check_scaled_involution, determinant, hermite_normal_form,
+                               hnf_contains, integer_kernel, kernel_basis, rank, signature)
 
 GF = PrimeField(32003)
 
@@ -118,6 +118,57 @@ def test_determinant_examples():
     assert determinant([[0, 1], [1, 0]]) == -1
     assert determinant([[2, 0], [0, 3]]) == 6
     assert determinant([[1, 2], [2, 4]]) == 0
+
+
+def cofactor_determinant(m):
+    """Laplace expansion along the first row, independent of any elimination."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * cofactor_determinant([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices with small entries, often with a zero
+    diagonal, and made degenerate by a repeated index about a third of the time."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    diagonal = draw(st.lists(st.sampled_from((0, 0, 1, -2)) | entry, min_size=n, max_size=n))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = diagonal[i]
+        for j in range(i):
+            m[i][j] = m[j][i] = draw(entry)
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        # index n-1 repeats index 0, so row n-1 equals row 0
+        for i in range(n - 1):
+            m[i][n - 1] = m[n - 1][i] = m[i][0]
+        m[n - 1][n - 1] = m[0][0]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_determinant_matches_cofactor_expansion(m):
+    assert determinant(m) == cofactor_determinant(m)
+
+
+def test_determinant_rejects_non_symmetric():
+    with pytest.raises(ValueError, match="not symmetric"):
+        determinant([[1, 2], [3, 4]])
+
+
+def test_scaled_involution_check():
+    swap = ((0, 1), (1, 0))
+    check_scaled_involution(swap, ((0, 1), (1, 0)), 1)
+    check_scaled_involution(((0, 2), (2, 0)), ((2, 0), (0, 2)), 2)
+    with pytest.raises(ValueError, match="not an involution"):
+        check_scaled_involution(swap, ((0, 1), (1, 0)), 2)
+    with pytest.raises(ValueError, match="intersection form"):
+        check_scaled_involution(swap, ((2, 0), (0, -2)), 1)
+    with pytest.raises(ValueError, match="wrong shape"):
+        check_scaled_involution(((0, 1),), ((0, 1), (1, 0)), 1)
 
 
 def test_signature_examples():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulrichcert.fields import QQ, PrimeField
+from ulrichcert.labels import join_terms, split_terms
 from ulrichcert.polynomials import (PolyRing, ProjectivePoint, format_polynomial,
                                     grevlex_key, monomial_basis, parse_polynomial,
                                     partial_derivatives)
@@ -23,6 +24,15 @@ def test_parse_and_format_round_trip():
     assert format_polynomial(f) == text
     g = parse_polynomial(text, RING)  # coefficients land in [0, p)
     assert parse_polynomial(format_polynomial(g), RING) == g
+
+
+def test_join_terms_inverts_split_terms():
+    for text in ("3*X^2-Y+Z", "-X", "-1/2*E12+L", "7"):
+        assert join_terms(split_terms(text, "sum")) == text
+    assert join_terms(["+X", "Y", "-Z"]) == "X+Y-Z"
+    assert join_terms([]) == "0"
+    assert format_polynomial(RING_Q.zero()) == "0"
+    assert format_polynomial(parse_polynomial("-X*Y+1", RING_Q)) == "-X*Y+1"
 
 
 def test_parse_corpus_shape(quartic):
