@@ -47,7 +47,7 @@ class RunConfig:
     roots: tuple = DEFAULT_ROOTS
     quartic_source: str = "corpus:kummer_quartic"
     recipe_kind: str = TWELVE_NODES
-    recipe_labels: tuple = DEFAULT_TWELVE
+    recipe_labels: tuple = tuple(node_token(label) for label in DEFAULT_TWELVE)
     out_path: str | None = None
 
     def curve(self):
@@ -62,15 +62,22 @@ class RunConfig:
         from . import kummer
         kind, _, value = self.quartic_source.partition(":")
         if kind == "corpus":
-            return kummer.load_corpus_quartic(self.domain(), value or "kummer_quartic")
-        if kind == "inline":
-            return kummer.parse_quartic(value, self.domain())
-        raise ValueError(f"quartic source must be corpus:<name> or inline:<poly>, "
-                         f"got {self.quartic_source!r}")
+            quartic = kummer.load_corpus_quartic(self.domain(), value or "kummer_quartic")
+        elif kind == "inline":
+            quartic = kummer.parse_quartic(value, self.domain())
+        else:
+            raise ValueError(f"quartic source must be corpus:<name> or inline:<poly>, "
+                             f"got {self.quartic_source!r}")
+        degrees = sorted({sum(m) for m in quartic.terms})
+        if degrees != [4]:
+            raise ValueError(f"the quartic is not a nonzero form of degree 4 (term "
+                             f"degrees found: {', '.join(map(str, degrees)) or 'none'})")
+        return quartic
 
     def recipe(self):
         from .picard import checked_recipe
-        return checked_recipe(self.recipe_kind, self.recipe_labels)
+        return checked_recipe(self.recipe_kind,
+                              tuple(parse_node_token(tok) for tok in self.recipe_labels))
 
 
 def load_config(path: str) -> RunConfig:
@@ -100,8 +107,7 @@ def load_config(path: str) -> RunConfig:
         if "recipe" in section:
             cfg.recipe_kind = section["recipe"].strip()
         if "labels" in section:
-            cfg.recipe_labels = tuple(
-                parse_node_token(tok.strip()) for tok in section["labels"].split(","))
+            cfg.recipe_labels = tuple(tok.strip() for tok in section["labels"].split(","))
     if parser.has_section("output") and "path" in parser["output"]:
         cfg.out_path = parser["output"]["path"].strip()
     return cfg

@@ -85,9 +85,8 @@ def h0_forms_through_points(d: int, points) -> int:
 def section_basis(d: int, points, ring) -> list:
     """Polynomials spanning the degree-d forms through the points."""
     rows, mons = evaluation_matrix(d, points)
-    dom = ring.domain
-    return [ring.poly({m: c for m, c in zip(mons, vec) if not dom.is_zero(c)})
-            for vec in kernel_basis(rows, len(mons), dom)]
+    return [ring.poly({m: c for m, c in zip(mons, vec) if c})
+            for vec in kernel_basis(rows, len(mons), ring.domain)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Exact scalar domains: prime fields GF(p) and the rational numbers.
 
 All arithmetic in this package is exact; there is no floating point path.
-Matrix and polynomial code is generic over a tiny "domain" protocol:
-
-    zero, one        identity elements
-    coerce(x)        bring an int / Fraction into the domain
-    add, sub, mul, neg, inv
-    is_zero(x)
-
 Prime-field elements are plain Python ints in ``[0, p)``; rational elements
-are ``fractions.Fraction``. Keeping scalars unboxed keeps the Groebner and
+are ``fractions.Fraction``. Matrix and polynomial code does its arithmetic
+with Python's own operators and hands every result to a two-method domain
+protocol:
+
+    coerce(x)   bring an int or Fraction into the domain: GF(p) reduces an
+                int mod p and maps a Fraction through its denominator's
+                inverse; QQ returns the value as a Fraction
+    inv(x)      the multiplicative inverse of a nonzero element
+
+Because ``coerce`` leaves every element normalised, an element is zero
+exactly when it is falsy, and ``coerce(0)`` and ``coerce(1)`` are the
+identities. Keeping scalars unboxed keeps the Groebner and
 Gaussian-elimination hot loops fast.
 """
 from __future__ import annotations
@@ -62,9 +66,6 @@ class PrimeField:
             raise ValueError("GF(2) is not supported; an odd prime is required")
         self.p = p
 
-    zero = 0
-    one = 1
-
     def coerce(self, x) -> int:
         if isinstance(x, int):
             return x % self.p
@@ -76,25 +77,10 @@ class PrimeField:
             return x.numerator % self.p * pow(den, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {type(x).__name__} into GF({self.p})")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
         return pow(a, -1, self.p)
-
-    def is_zero(self, a: int) -> bool:
-        return a % self.p == 0
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -111,31 +97,13 @@ class RationalField:
 
     __slots__ = ()
 
-    zero = Fraction(0)
-    one = Fraction(1)
-
     def coerce(self, x) -> Fraction:
         return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         return 1 / Fraction(a)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -43,7 +43,7 @@ def _monic(terms: dict, domain):
     """(leading monomial, terms scaled so its coefficient is 1)."""
     lm = max(terms, key=grevlex_key)
     inv = domain.inv(terms[lm])
-    return lm, {m: domain.mul(inv, c) for m, c in terms.items()}
+    return lm, {m: domain.coerce(inv * c) for m, c in terms.items()}
 
 
 def _reduce_terms(f: dict, basis, domain) -> dict:
@@ -60,11 +60,11 @@ def _reduce_terms(f: dict, basis, domain) -> dict:
                     if gm == lm:
                         continue
                     mm = _monomial_add(gm, shift)
-                    v = domain.sub(work.get(mm, domain.zero), domain.mul(c, gc))
-                    if domain.is_zero(v):
-                        work.pop(mm, None)
-                    else:
+                    v = domain.coerce(work.get(mm, 0) - c * gc)
+                    if v:
                         work[mm] = v
+                    else:
+                        work.pop(mm, None)
                 break
         else:
             remainder[m] = c
@@ -107,11 +107,11 @@ def _s_pair_terms(f, g, domain) -> dict:
         out[_monomial_add(m, sf)] = c
     for m, c in gt.items():
         mm = _monomial_add(m, sg)
-        v = domain.sub(out.get(mm, domain.zero), c)
-        if domain.is_zero(v):
-            out.pop(mm, None)
-        else:
+        v = domain.coerce(out.get(mm, 0) - c)
+        if v:
             out[mm] = v
+        else:
+            out.pop(mm, None)
     return out
 
 

@@ -97,10 +97,9 @@ def parse_quartic(text: str, domain) -> Poly:
 
 def verify_node(quartic: Poly, point: ProjectivePoint) -> bool:
     """True iff the quartic and all four partials vanish at the point."""
-    dom = quartic.ring.domain
-    if not dom.is_zero(quartic.evaluate(point)):
+    if quartic.evaluate(point):
         return False
-    return all(dom.is_zero(g.evaluate(point)) for g in partial_derivatives(quartic))
+    return not any(g.evaluate(point) for g in partial_derivatives(quartic))
 
 
 @dataclass

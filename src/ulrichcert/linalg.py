@@ -25,16 +25,16 @@ def rref(rows, ncols, domain):
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if not domain.is_zero(mat[i][c])), None)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = domain.inv(mat[r][c])
-        mat[r] = [domain.mul(inv, x) for x in mat[r]]
+        mat[r] = [domain.coerce(inv * x) for x in mat[r]]
         for i in range(len(mat)):
-            if i != r and not domain.is_zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [domain.sub(a, domain.mul(f, b)) for a, b in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f:
+                mat[i] = [domain.coerce(a - f * b) for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
     return mat, pivots
@@ -54,10 +54,10 @@ def kernel_basis(rows, ncols, domain):
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
-        vec = [domain.zero] * ncols
-        vec[fc] = domain.one
+        vec = [domain.coerce(0)] * ncols
+        vec[fc] = domain.coerce(1)
         for r, pc in enumerate(pivots):
-            vec[pc] = domain.neg(mat[r][fc])
+            vec[pc] = domain.coerce(-mat[r][fc])
         basis.append(vec)
     return basis
 

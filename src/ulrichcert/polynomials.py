@@ -43,18 +43,15 @@ class PolyRing:
             mon = tuple(int(e) for e in mon)
             if len(mon) != self.nvars or any(e < 0 for e in mon):
                 raise ValueError(f"bad exponent tuple {mon}")
-            c = self.domain.coerce(coeff)
-            if mon in out:
-                c = self.domain.add(out[mon], c)
-            out[mon] = c
-        return Poly(self, {m: c for m, c in out.items() if not self.domain.is_zero(c)})
+            out[mon] = self.domain.coerce(out.get(mon, 0) + coeff)
+        return Poly(self, {m: c for m, c in out.items() if c})
 
     def zero(self) -> "Poly":
         return Poly(self, {})
 
     def variable(self, i: int) -> "Poly":
         mon = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Poly(self, {mon: self.domain.one})
+        return Poly(self, {mon: self.domain.coerce(1)})
 
 
 class Poly:
@@ -88,16 +85,16 @@ class Poly:
         dom = self.ring.domain
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = dom.add(out.get(m, dom.zero), c)
-            if dom.is_zero(v):
-                out.pop(m, None)
-            else:
+            v = dom.coerce(out.get(m, 0) + c)
+            if v:
                 out[m] = v
+            else:
+                out.pop(m, None)
         return Poly(self.ring, out)
 
     def __neg__(self) -> "Poly":
         dom = self.ring.domain
-        return Poly(self.ring, {m: dom.neg(c) for m, c in self.terms.items()})
+        return Poly(self.ring, {m: dom.coerce(-c) for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -106,17 +103,16 @@ class Poly:
         dom = self.ring.domain
         if not isinstance(other, Poly):
             c0 = dom.coerce(other)
-            if dom.is_zero(c0):
+            if not c0:
                 return self.ring.zero()
-            return Poly(self.ring, {m: dom.mul(c, c0) for m, c in self.terms.items()})
+            return Poly(self.ring, {m: dom.coerce(c * c0) for m, c in self.terms.items()})
         self._check(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                v = dom.add(out.get(m, dom.zero), dom.mul(c1, c2))
-                out[m] = v
-        return Poly(self.ring, {m: c for m, c in out.items() if not dom.is_zero(c)})
+                out[m] = dom.coerce(out.get(m, 0) + c1 * c2)
+        return Poly(self.ring, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -140,9 +136,8 @@ class Poly:
             if e == 0:
                 continue
             mm = m[:var] + (e - 1,) + m[var + 1:]
-            v = dom.add(out.get(mm, dom.zero), dom.mul(c, dom.coerce(e)))
-            out[mm] = v
-        return Poly(self.ring, {m: c for m, c in out.items() if not dom.is_zero(c)})
+            out[mm] = dom.coerce(out.get(mm, 0) + c * e)
+        return Poly(self.ring, {m: c for m, c in out.items() if c})
 
     def evaluate(self, point):
         """Exact value at a point (coordinates in the coefficient domain)."""
@@ -151,19 +146,12 @@ class Poly:
         if len(coords) != self.ring.nvars:
             raise ValueError("point dimension does not match variable count")
         coords = [dom.coerce(x) for x in coords]
-        total = dom.zero
-        for m, c in self.terms.items():
-            total = dom.add(total, dom.mul(c, power_product(coords, m, dom)))
-        return total
+        return dom.coerce(sum(c * power_product(coords, m, dom) for m, c in self.terms.items()))
 
 
 def power_product(coords, mon: Monomial, domain):
-    """The monomial mon evaluated at coords, by repeated multiplication."""
-    v = domain.one
-    for x, e in zip(coords, mon):
-        for _ in range(e):
-            v = domain.mul(v, x)
-    return v
+    """The monomial mon evaluated at coords."""
+    return domain.coerce(math.prod(x ** e for x, e in zip(coords, mon)))
 
 
 def partial_derivatives(f: Poly):
@@ -178,12 +166,12 @@ class ProjectivePoint:
 
     def __init__(self, domain, coordinates):
         coords = [domain.coerce(x) for x in coordinates]
-        lead = next((x for x in coords if not domain.is_zero(x)), None)
+        lead = next((x for x in coords if x), None)
         if lead is None:
             raise ValueError("all coordinates are zero")
         inv = domain.inv(lead)
         self.domain = domain
-        self.coordinates = tuple(domain.mul(inv, x) for x in coords)
+        self.coordinates = tuple(domain.coerce(inv * x) for x in coords)
 
     def __eq__(self, other):
         return (isinstance(other, ProjectivePoint) and other.domain == self.domain

@@ -19,12 +19,13 @@ REMARK_LABELS = "E13, E14, E15, E16, E23, E24, E25, E26"
 
 
 def write_config(path, prime=32003, roots="1, -1, 2, -2, 3, -3",
-                 recipe="twelve-nodes", labels=DEFAULT_LABELS, out=None):
+                 recipe="twelve-nodes", labels=DEFAULT_LABELS, out=None,
+                 quartic="corpus:kummer_quartic"):
     lines = [
         "[surface]",
         f"prime = {prime}",
         f"roots = {roots}",
-        "quartic = corpus:kummer_quartic",
+        f"quartic = {quartic}",
         "",
         "[bundle]",
         f"recipe = {recipe}",
@@ -90,14 +91,35 @@ def test_nodes_malformed_ini_is_config_error(tmp_path, capsys, text):
     assert "Traceback" not in err and "malformed config file" in err
 
 
-def test_nodes_ignores_malformed_bundle_that_certify_rejects(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.cfg", labels="E0, E12")
+@pytest.mark.parametrize("labels, message", [
+    ("E0, E12", "needs exactly 12 labels, got 2"),
+    ("E99", "bad node token 'E99'"),
+], ids=["label-count", "bad-token"])
+def test_nodes_ignores_malformed_bundle_that_certify_rejects(tmp_path, capsys, labels,
+                                                             message):
+    cfg = write_config(tmp_path / "c.cfg", labels=labels)
     assert cli.main(["nodes", "--config", cfg]) == cli.EXIT_OK
     captured = capsys.readouterr()
     assert "(1:1:-2:-44)" in captured.out and "(3, 16)" in captured.out
     assert captured.err == ""
     assert cli.main(["certify", "--config", cfg]) == cli.EXIT_CONFIG
-    assert "needs exactly 12 labels, got 2" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quartic, degrees", [
+    ("inline:X^4+Y", "1, 4"),
+    ("inline:X^5+Y^5+Z^5+W^5", "5"),
+    ("inline:0", "none"),
+], ids=["mixed-degrees", "quintic", "zero"])
+def test_config_quartic_that_is_not_a_quartic_rejected(tmp_path, capsys, quartic, degrees):
+    out = tmp_path / "o.json"
+    cfg = write_config(tmp_path / "c.cfg", quartic=quartic, out=str(out))
+    for command in ("nodes", "certify"):
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"not a nonzero form of degree 4 (term degrees found: {degrees})" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
 
 
 def test_nodes_composite_prime_rejected(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ulrichcert.fields import QQ, PrimeField
 from ulrichcert.labels import join_terms, split_terms
+from ulrichcert.linalg import kernel_basis, rref
 from ulrichcert.polynomials import (PolyRing, ProjectivePoint, format_polynomial,
                                     grevlex_key, monomial_basis, parse_polynomial,
                                     partial_derivatives)
@@ -112,8 +113,32 @@ def test_evaluate_is_ring_homomorphism(t1, t2, raw_point):
         raw_point = (1, 0, 0, 0)
     f, g = RING.poly(t1), RING.poly(t2)
     pt = ProjectivePoint(GF, raw_point)
-    assert (f + g).evaluate(pt) == GF.add(f.evaluate(pt), g.evaluate(pt))
-    assert (f * g).evaluate(pt) == GF.mul(f.evaluate(pt), g.evaluate(pt))
+    assert (f + g).evaluate(pt) == GF.coerce(f.evaluate(pt) + g.evaluate(pt))
+    assert (f * g).evaluate(pt) == GF.coerce(f.evaluate(pt) * g.evaluate(pt))
+
+
+def _normalised(x, domain) -> bool:
+    if domain == QQ:
+        return type(x) is Fraction
+    return type(x) is int and 0 <= x < domain.p
+
+
+@settings(max_examples=60)
+@given(st.sampled_from((RING, RING_Q)), st_poly_terms, st_poly_terms,
+       st.tuples(*(st.integers(-10 ** 6, 10 ** 6) for _ in range(4))),
+       st.lists(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=4, max_size=4),
+                min_size=1, max_size=4))
+def test_arithmetic_results_stay_normalised(ring, t1, t2, point, rows):
+    """Zero tests read an element's truthiness, which is exact only while every
+    GF(p) element is an int in [0, p) and every rational one a Fraction."""
+    dom = ring.domain
+    f, g = ring.poly(t1), ring.poly(t2)
+    for h in [f + g, f - g, f * g, (f + g) * (f - g)] + [f.diff(i) for i in range(4)]:
+        assert all(c and _normalised(c, dom) for c in h.terms.values())
+    assert _normalised(f.evaluate(point), dom)
+    mat, _ = rref(rows, 4, dom)
+    assert all(_normalised(x, dom) for row in mat for x in row)
+    assert all(_normalised(x, dom) for vec in kernel_basis(rows, 4, dom) for x in vec)
 
 
 def test_euler_relation_on_quartic(quartic):
