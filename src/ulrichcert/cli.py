@@ -94,7 +94,10 @@ def load_config(path: str) -> RunConfig:
     if parser.has_section("surface"):
         section = parser["surface"]
         if "prime" in section:
-            cfg.prime = int(section["prime"])
+            try:
+                cfg.prime = int(section["prime"])
+            except ValueError:
+                raise ValueError(f"invalid prime {section['prime']!r}: not an integer") from None
         if "roots" in section:
             try:
                 cfg.roots = tuple(Fraction(tok.strip()) for tok in section["roots"].split(","))

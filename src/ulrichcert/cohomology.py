@@ -1,20 +1,18 @@
 """Effectivity checks through node points and assembly of the full
 certificate for the candidate Ulrich class.
 
-Effectivity on the surface is decided only for the two class shapes the
-certificate needs, through the quartic model in P^3:
+One routine decides effectivity through the quartic model in P^3, for
+classes aL - (nodes) + (nodes) with 0 <= a <= 3: each node with coefficient
+1 is a fixed component and is dropped, and the sections left are the
+degree-a forms through the nodes with coefficient -1. Any other class
+raises ``UnsupportedShapeError``. The certificate asks it for
+``2H - M = L - (four nodes)`` and for the double ``2(M - H) = 2L + (four
+nodes) - (twelve nodes)``; zero sections of the double prove ``M - H``
+non-effective, and a positive value blocks certification.
 
-* ``2H - M = L - (four nodes)``: sections are hyperplanes through the four
-  node points, so the class is effective iff such a hyperplane exists.
-* ``M - H`` via its double ``2(M - H) = 2L + (four nodes) - (twelve
-  nodes)``: twisting away the four disjoint exceptional curves leaves
-  quadrics through the twelve points. A value of zero proves the double,
-  hence the class, non-effective; a positive value blocks certification.
-
-Arbitrary classes are rejected loudly as unsupported. The certificate chain
-is: node verification, numerical conditions, even-eight shape detection,
-involution invariance, then the two effectivity values; the verdict is
-``certified`` only if every step passes.
+The certificate chain is: node verification, numerical conditions,
+even-eight shape detection, involution invariance, then the two
+effectivity values; the verdict is ``certified`` only if every step passes.
 """
 from __future__ import annotations
 
@@ -90,76 +88,7 @@ def section_basis(d: int, points, ring) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The two decidable effectivity shapes
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EffectivityValue:
-    name: str
-    degree: int
-    labels: tuple
-    h0: int
-    witness: str | None
-    passed: bool
-    inferences: tuple
-    interpretation: str
-
-
-def _node_support(d):
-    """Node labels grouped by their nonzero doubled coefficient in d."""
-    support = {}
-    for label, c in zip(NODE_LABELS, d.doubled[1:]):
-        if c:
-            support.setdefault(c, []).append(label)
-    return {c: tuple(labels) for c, labels in support.items()}
-
-
-def _sections_through_nodes(d, points_by_label, ring, *, l_doubled, shape, degree,
-                           shape_error, name, inferences, interpretations):
-    """Effectivity value of the class d through forms of the given degree.
-
-    d must be (l_doubled / 2) L plus node classes, with ``shape`` mapping each
-    doubled node coefficient to its number of nodes; the forms are those
-    through the nodes whose coefficient is -1.
-    """
-    support = _node_support(d)
-    if d.doubled[0] != l_doubled or {c: len(ls) for c, ls in support.items()} != shape:
-        raise UnsupportedShapeError(shape_error)
-    labels = support[-2]
-    sections = section_basis(degree, [points_by_label[l] for l in labels], ring)
-    h0 = len(sections)
-    return EffectivityValue(
-        name=name, degree=degree, labels=labels, h0=h0,
-        witness=format_polynomial(sections[0]) if sections else None,
-        passed=h0 == 0, inferences=inferences,
-        interpretation=interpretations[0] if h0 == 0 else interpretations[1])
-
-
-def check_two_h_minus_m(h, m, points_by_label, ring) -> EffectivityValue:
-    """Hyperplane test: 2H - M must reduce to L minus four node classes."""
-    return _sections_through_nodes(
-        2 * h - m, points_by_label, ring, l_doubled=2, shape={-2: 4}, degree=1,
-        shape_error="2H - M does not have the shape L minus four distinct nodes",
-        name="no-hyperplane-through-four-nodes",
-        inferences=("sections-through-nodes", "finite-field-model"),
-        interpretations=("2H - M is not effective",
-                         "a hyperplane through the four nodes exists; 2H - M is effective"))
-
-
-def check_m_minus_h(h, m, points_by_label, ring) -> EffectivityValue:
-    """Quadric test on the double: 2(M - H) + (four nodes) = 2L - (twelve nodes)."""
-    return _sections_through_nodes(
-        2 * (m - h), points_by_label, ring, l_doubled=4, shape={-2: 12, 2: 4}, degree=2,
-        shape_error="2(M - H) does not have the shape 2L + four nodes - twelve nodes",
-        name="no-quadric-through-twelve-nodes",
-        inferences=("doubling", "exceptional-twist", "sections-through-nodes",
-                    "finite-field-model"),
-        interpretations=("M - H is not effective (its double has no sections)",
-                         "the double of M - H is effective; certification fails"))
-
-
-# ---------------------------------------------------------------------------
-# Certificate assembly
+# Check records and effectivity through forms through the nodes
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -178,6 +107,66 @@ class CheckRecord:
             if tag not in JUSTIFICATIONS:
                 raise ValueError(f"unknown justification tag {tag!r} in check {self.name!r}")
 
+
+# what a failed effectivity check shows, quoted in the refutation witness
+EFFECTIVITY_FAILURES = {
+    "no-hyperplane-through-four-nodes":
+        "a hyperplane through the four nodes exists; 2H - M is effective",
+    "no-quadric-through-twelve-nodes":
+        "the double of M - H is effective; certification fails",
+}
+
+
+def _node_support(d):
+    """Node labels grouped by their nonzero doubled coefficient in d."""
+    support = {}
+    for label, c in zip(NODE_LABELS, d.doubled[1:]):
+        if c:
+            support.setdefault(c, []).append(label)
+    return {c: tuple(labels) for c, labels in support.items()}
+
+
+def _forms_through_nodes(d, points_by_label, ring, name, inferences) -> CheckRecord:
+    """The check that d = aL - (nodes S) + (nodes F) has no sections.
+
+    Each node E in F has d.E = -2 < 0, so it is a fixed component and is
+    dropped; the sections of aL - (nodes S) are the degree-a forms through
+    the points of S. ``inferences`` are the tags cited before these steps.
+    """
+    support = _node_support(d)
+    degree, odd = divmod(d.doubled[0], 2)
+    if odd or not 0 <= degree <= 3 or not support.keys() <= {-2, 2}:
+        raise UnsupportedShapeError(
+            f"cannot decide effectivity of {format_divisor(d)}: not aL with 0 <= a <= 3 "
+            "plus node classes with coefficients -1, 0 or 1")
+    if 2 in support:
+        inferences += ("exceptional-twist",)
+    labels = support.get(-2, ())
+    sections = section_basis(degree, [points_by_label[l] for l in labels], ring)
+    return CheckRecord(
+        name=name,
+        justification="+".join(inferences + ("sections-through-nodes", "finite-field-model")),
+        inputs={"degree": degree, "labels": [node_token(l) for l in labels]},
+        value={"h0": len(sections),
+               "witness": format_polynomial(sections[0]) if sections else None},
+        passed=not sections)
+
+
+def check_two_h_minus_m(h, m, points_by_label, ring) -> CheckRecord:
+    """Hyperplane test: 2H - M = L minus the four nodes outside the recipe."""
+    return _forms_through_nodes(2 * h - m, points_by_label, ring,
+                                "no-hyperplane-through-four-nodes", ())
+
+
+def check_m_minus_h(h, m, points_by_label, ring) -> CheckRecord:
+    """Quadric test on the double 2(M - H) = 2L + (four nodes) - (twelve nodes)."""
+    return _forms_through_nodes(2 * (m - h), points_by_label, ring,
+                                "no-quadric-through-twelve-nodes", ("doubling",))
+
+
+# ---------------------------------------------------------------------------
+# Certificate assembly
+# ---------------------------------------------------------------------------
 
 @dataclass
 class UlrichCertificate:
@@ -294,20 +283,13 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
                REASON_INVARIANCE):
         return cert
 
-    outcomes = [checker(h, m, node_report.points, quartic.ring)
-                for checker in (check_two_h_minus_m, check_m_minus_h)]
-    failed = next((outcome for outcome in outcomes if not outcome.passed), None)
-    if refuted([CheckRecord(name=outcome.name,
-                            justification="+".join(outcome.inferences),
-                            inputs={"degree": outcome.degree,
-                                    "labels": [node_token(l) for l in outcome.labels]},
-                            value={"h0": outcome.h0, "witness": outcome.witness},
-                            passed=outcome.passed)
-                for outcome in outcomes],
-               REASON_EFFECTIVITY,
-               None if failed is None else {"check": failed.name, "h0": failed.h0,
-                                            "witness": failed.witness,
-                                            "interpretation": failed.interpretation}):
+    records = [check(h, m, node_report.points, quartic.ring)
+               for check in (check_two_h_minus_m, check_m_minus_h)]
+    failed = next((record for record in records if not record.passed), None)
+    if refuted(records, REASON_EFFECTIVITY,
+               None if failed is None else
+               {"check": failed.name, **failed.value,
+                "interpretation": EFFECTIVITY_FAILURES[failed.name]}):
         return cert
 
     cert.verdict = "certified"

@@ -38,14 +38,15 @@ JUSTIFICATIONS = {
     "doubling": (
         "if a divisor class is effective then so is its double"),
     "exceptional-twist": (
-        "twisting by disjoint (-2)-curves orthogonal to the class does not "
-        "change the space of sections"),
+        "if d.E < 0 for a (-2)-curve E, then E is a fixed component of |d|, "
+        "so h^0(d) = h^0(d - E)"),
     "even-eight-complement": (
         "the complement of an even eight among the sixteen nodes is again "
         "an even eight (Nikulin), hence half its sum is an effective class"),
     "sections-through-nodes": (
-        "sections of L (resp. 2L) minus node classes correspond to "
-        "hyperplanes (resp. quadrics) through the node images in P^3"),
+        "for 0 <= a <= 3, sections of aL minus node classes are the degree-a "
+        "forms through the node images in P^3: the quartic is projectively "
+        "normal and no nonzero form of degree below 4 is a multiple of it"),
     "finite-field-model": (
         "vanishing is certified in the stated finite-field model; transfer "
         "to characteristic zero is by semicontinuity and is not computed"),

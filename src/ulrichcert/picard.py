@@ -240,10 +240,10 @@ class BundleRecipe:
     def divisor(self) -> DivisorClass:
         """3L minus each recipe node (twelve-nodes), or 2L minus half of each
         (half-even-eight)."""
-        l_doubled, node_doubled = (6, -2) if self.kind == TWELVE_NODES else (4, -1)
-        doubled = [l_doubled] + [0] * (RANK - 1)
+        doubled_l, doubled_node = (6, -2) if self.kind == TWELVE_NODES else (4, -1)
+        doubled = [doubled_l] + [0] * (RANK - 1)
         for label in self.labels:
-            doubled[_INDEX[label]] = node_doubled
+            doubled[_INDEX[label]] = doubled_node
         return DivisorClass.from_doubled(doubled)
 
     def tokens(self):

@@ -81,14 +81,17 @@ def test_nodes_zero_denominator_root_is_config_error(tmp_path, capsys):
     assert "configuration error" in err and "1/0" in err
 
 
-@pytest.mark.parametrize("text", ["prime = 7\n", "[surface]\nprime = 7\nprime = 11\n"],
-                         ids=["no-section-header", "duplicate-option"])
-def test_nodes_malformed_ini_is_config_error(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, message", [
+    ("prime = 7\n", "malformed config file"),
+    ("[surface]\nprime = 7\nprime = 11\n", "malformed config file"),
+    ("[surface]\nprime = 32003.0\n", "invalid prime '32003.0'"),
+], ids=["no-section-header", "duplicate-option", "non-integer-prime"])
+def test_nodes_malformed_ini_is_config_error(tmp_path, capsys, text, message):
     path = tmp_path / "c.cfg"
     path.write_text(text)
     assert cli.main(["nodes", "--config", str(path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "Traceback" not in err and "malformed config file" in err
+    assert "Traceback" not in err and message in err
 
 
 @pytest.mark.parametrize("labels, message", [

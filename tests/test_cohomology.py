@@ -11,14 +11,15 @@ from ulrichcert.cohomology import (CertificateIntegrityError, CheckRecord,
                                    certify_ulrich, check_m_minus_h, check_two_h_minus_m,
                                    descend_from_document, descend_to_enriques,
                                    h0_forms_through_points, load_certificate_document,
-                                   write_certificate)
+                                   section_basis, write_certificate)
 from ulrichcert import picard
 from ulrichcert.fields import QQ
+from ulrichcert.groebner import buchberger, hilbert_degree_codim
 from ulrichcert.kummer import all_node_points, load_corpus_quartic, parse_quartic
-from ulrichcert.labels import NODE_LABELS
+from ulrichcert.labels import NODE_LABELS, node_token
 from ulrichcert.picard import (BundleRecipe, DEFAULT_TWELVE, HALF_EVEN_EIGHT,
-                               even_eight_test, hyperplane_class, polarization)
-from ulrichcert.polynomials import ProjectivePoint
+                               even_eight_test, hyperplane_class, node_class, polarization)
+from ulrichcert.polynomials import ProjectivePoint, partial_derivatives
 
 FOUR = ((2, 3), (2, 5), (3, 4), (4, 5))
 REMARK_EIGHT = ((1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6))
@@ -141,8 +142,8 @@ def test_h0_degree_one_matches_determinant_rank(nodes, gf):
 def test_check_two_h_minus_m_default(nodes, quartic):
     outcome = check_two_h_minus_m(polarization(), BundleRecipe().divisor(),
                                   nodes, quartic.ring)
-    assert outcome.h0 == 0 and outcome.passed
-    assert set(outcome.labels) == set(FOUR)
+    assert outcome.value["h0"] == 0 and outcome.passed
+    assert set(outcome.inputs["labels"]) == {node_token(l) for l in FOUR}
 
 
 def test_check_two_h_minus_m_coplanar_witness(nodes, quartic):
@@ -151,41 +152,70 @@ def test_check_two_h_minus_m_coplanar_witness(nodes, quartic):
     twelve = tuple(l for l in NODE_LABELS if l not in coplanar_four)
     outcome = check_two_h_minus_m(polarization(), BundleRecipe(labels=twelve).divisor(),
                                   nodes, quartic.ring)
-    assert outcome.h0 == 1 and not outcome.passed
-    assert outcome.witness is not None
+    assert outcome.value["h0"] == 1 and not outcome.passed
+    assert outcome.value["witness"] is not None
     # the witness hyperplane really vanishes at the four points
-    witness = parse_quartic(outcome.witness, quartic.ring.domain)
+    witness = parse_quartic(outcome.value["witness"], quartic.ring.domain)
     assert all(witness.evaluate(nodes[l]) == 0
                for l in coplanar_four)
 
 
-def test_check_shapes_rejected(nodes, quartic):
-    eleven = BundleRecipe(labels=DEFAULT_TWELVE[:11]).divisor()
-    with pytest.raises(UnsupportedShapeError):
-        check_two_h_minus_m(polarization(), eleven, nodes, quartic.ring)
-    with pytest.raises(UnsupportedShapeError):
-        check_m_minus_h(polarization(), 2 * hyperplane_class(), nodes, quartic.ring)
+# the effectivity routine decides aL - (nodes) + (nodes) for 0 <= a <= 3 and
+# node coefficients -1, 0 or 1; expected is (degree, labels, h0, stripped)
+@pytest.mark.parametrize("check, m, expected", [
+    (check_two_h_minus_m, BundleRecipe(labels=DEFAULT_TWELVE[:11]).divisor(),
+     (1, ["E23", "E25", "E34", "E35", "E45"], 0, False)),
+    (check_m_minus_h, 2 * hyperplane_class(), (0, [], 1, True)),
+    (check_two_h_minus_m, BundleRecipe(kind=HALF_EVEN_EIGHT, labels=REMARK_EIGHT).divisor(),
+     None),
+    (check_two_h_minus_m, BundleRecipe().divisor() + node_class((2, 3)), None),
+    (check_m_minus_h, 4 * hyperplane_class(), None),
+    (check_two_h_minus_m, 5 * hyperplane_class(), None),
+], ids=["eleven-labels", "two-l", "half-integer", "coefficient-minus-two", "degree-four",
+        "degree-minus-one"])
+def test_check_shapes_rejected(nodes, quartic, check, m, expected):
+    if expected is None:
+        with pytest.raises(UnsupportedShapeError, match="cannot decide effectivity of "):
+            check(polarization(), m, nodes, quartic.ring)
+        return
+    outcome = check(polarization(), m, nodes, quartic.ring)
+    degree, labels, h0, stripped = expected
+    assert outcome.inputs == {"degree": degree, "labels": labels}
+    assert outcome.value["h0"] == h0 and outcome.passed == (h0 == 0)
+    assert ("exceptional-twist" in outcome.justification.split("+")) == stripped
 
 
 def test_check_m_minus_h_values(nodes, quartic):
     default = check_m_minus_h(polarization(), BundleRecipe().divisor(),
                               nodes, quartic.ring)
-    assert default.h0 == 1 and not default.passed
-    assert default.witness is not None
+    assert default.value["h0"] == 1 and not default.passed
+    assert default.value["witness"] is not None
     swapped = check_m_minus_h(polarization(),
                               BundleRecipe(labels=SWAPPED_TWELVE).divisor(),
                               nodes, quartic.ring)
-    assert swapped.h0 == 0 and swapped.passed
+    assert swapped.value["h0"] == 0 and swapped.passed
 
 
 def test_witness_quadric_vanishes_on_twelve_and_not_on_four(nodes, quartic):
     outcome = check_m_minus_h(polarization(), BundleRecipe().divisor(),
                               nodes, quartic.ring)
-    witness = parse_quartic(outcome.witness, quartic.ring.domain)
+    witness = parse_quartic(outcome.value["witness"], quartic.ring.domain)
     for label in DEFAULT_TWELVE:
         assert witness.evaluate(nodes[label]) == 0
     for label in FOUR:
         assert witness.evaluate(nodes[label]) != 0
+
+
+def test_quadric_through_twelve_nodes_cuts_a_reduced_curve(nodes, quartic):
+    # oracle for the M - H check: Q meets the surface F in a curve of degree
+    # 8, and adding the 2x2 minors of the Jacobian of (F, Q) leaves points
+    # only, so that curve is reduced and the unique member of |2(M - H)| is
+    # not twice a curve
+    (q,) = section_basis(2, [nodes[l] for l in DEFAULT_TWELVE], quartic.ring)
+    assert hilbert_degree_codim(buchberger([quartic, q])) == (2, 8)
+    jacobian = list(zip(partial_derivatives(quartic), partial_derivatives(q)))
+    minors = [f1 * q2 - f2 * q1 for (f1, q1), (f2, q2) in itertools.combinations(jacobian, 2)]
+    assert hilbert_degree_codim(buchberger([quartic, q] + minors)) == (3, 12)
 
 
 # ---------------------------------------------------------------------------
