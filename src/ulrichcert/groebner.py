@@ -2,41 +2,62 @@
 membership, and Hilbert-series codimension/degree extraction.
 
 The basis under construction is one list of monic (leading monomial, terms)
-pairs. The S-pair queue is one dict from each unhandled index pair to its
-selection key (lcm degree, lcm exponent tuple, pair indices), computed once
-when the pair is created. Leading monomials never change, so the stored keys
-stay exact and taking the smallest one is the normal selection strategy, in
-the same order as recomputing the keys at every pop. Pairs are pruned with
-the standard product and chain criteria; for the chain criterion a pair
-counts as handled once it has left the queue. Output is the reduced
-Groebner basis, which is unique for the fixed grevlex order, so the result is
-independent of generator order.
+pairs; it only grows, by appending. Three structures keep every step of the
+inner loops free of scans, each choosing exactly what a scan would choose:
+
+- The S-pair queue is a heap of selection keys (lcm degree, lcm exponent
+  tuple, pair indices), computed once when the pair is created, with the set
+  of queued pairs beside it for the chain criterion's "still queued" test.
+  Leading monomials never change, so the stored keys stay exact, and the
+  keys are unique (they end in the pair), so each pop gives the pair with the
+  smallest key among those queued: the normal selection strategy, in the
+  same order as recomputing the keys and taking the minimum at every pop.
+- A remainder under construction keeps the monomials still to reduce in a
+  heap keyed by the negated grevlex key, so the largest one is popped rather
+  than searched for. A key is pushed when its monomial enters the work dict
+  and skipped when popped after the monomial has cancelled. A reduction step
+  only adds monomials below the one it removes, so a popped monomial never
+  returns.
+- Within one ``buchberger`` run, a memo maps each monomial met in a
+  reduction to the first basis index whose leading monomial divides it (or
+  None) and the basis length searched. Appending never changes the first
+  divisor once found, and a None answer is extended by searching only the
+  entries appended since, so the memo picks the same divisor as a scan from
+  the start. It lives only for that run; every other reduction (normal forms,
+  the final inter-reduction over a different list) starts an empty one.
+
+Pairs are pruned with the standard product and chain criteria; for the chain
+criterion a pair counts as handled once it has left the queue. Output is the
+reduced Groebner basis, which is unique for the fixed grevlex order, so the
+result is independent of generator order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 import functools
+from heapq import heapify, heappop, heappush
 import itertools
 import math
+import operator
 
 from .polynomials import Poly, grevlex_key
 
 
 def _monomial_divides(a, b) -> bool:
     """True iff monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _monomial_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _monomial_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _monic(terms: dict, domain):
@@ -46,28 +67,56 @@ def _monic(terms: dict, domain):
     return lm, {m: domain.coerce(inv * c) for m, c in terms.items()}
 
 
-def _reduce_terms(f: dict, basis, domain) -> dict:
-    """Full remainder of f modulo a list of monic (lm, terms) pairs."""
-    work = dict(f)
-    remainder = {}
-    while work:
-        m = max(work, key=grevlex_key)
-        c = work.pop(m)
-        for lm, g in basis:
-            if _monomial_divides(lm, m):
-                shift = _monomial_sub(m, lm)
-                for gm, gc in g.items():
-                    if gm == lm:
-                        continue
-                    mm = _monomial_add(gm, shift)
-                    v = domain.coerce(work.get(mm, 0) - c * gc)
-                    if v:
-                        work[mm] = v
-                    else:
-                        work.pop(mm, None)
+def _first_divisor(m, basis, divisors):
+    """Index of the first basis entry whose leading monomial divides m, or None.
+
+    divisors memoizes m -> (answer, basis length searched) for a basis that
+    only grows by appending.
+    """
+    index, searched = divisors.get(m, (None, 0))
+    if index is None and searched < len(basis):
+        for k in range(searched, len(basis)):
+            if _monomial_divides(basis[k][0], m):
+                index = k
                 break
-        else:
+        divisors[m] = (index, len(basis))
+    return index
+
+
+def _reduce_terms(f: dict, basis, domain, divisors) -> dict:
+    """Full remainder of f modulo a list of monic (lm, terms) pairs.
+
+    divisors is the divisor memo of ``_first_divisor`` for this basis.
+    """
+    work = dict(f)
+    # (-deg, reversed exponents) is the negated grevlex key: the heap's
+    # smallest entry is the grevlex-largest monomial
+    heap = [(-sum(m), m[::-1], m) for m in work]
+    heapify(heap)
+    remainder = {}
+    while heap:
+        m = heappop(heap)[2]
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled after its key was pushed
+        k = _first_divisor(m, basis, divisors)
+        if k is None:
             remainder[m] = c
+            continue
+        lm, g = basis[k]
+        shift = _monomial_sub(m, lm)
+        for gm, gc in g.items():
+            if gm == lm:
+                continue
+            mm = _monomial_add(gm, shift)
+            old = work.get(mm)
+            v = domain.coerce((0 if old is None else old) - c * gc)
+            if v:
+                work[mm] = v
+                if old is None:
+                    heappush(heap, (-sum(mm), mm[::-1], mm))
+            elif old is not None:
+                del work[mm]
     return remainder
 
 
@@ -94,7 +143,7 @@ def normal_form(f: Poly, basis) -> Poly:
         raise ValueError("polynomial and basis live in different rings")
     domain = ring.domain
     monic = [_monic(g.terms, domain) for g in gens]
-    return Poly(ring, _reduce_terms(f.terms, monic, domain))
+    return Poly(ring, _reduce_terms(f.terms, monic, domain, {}))
 
 
 def _s_pair_terms(f, g, domain) -> dict:
@@ -121,15 +170,15 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
                                       domain))
 
 
-def _pairs_with_last(basis) -> dict:
-    """Queue entries (i, j) -> (deg lcm, lcm, (i, j)) for j the last index."""
+def _pairs_with_last(basis) -> list:
+    """Queue keys (deg lcm, lcm, (i, j)) of the pairs (i, j), j the last index."""
     j = len(basis) - 1
     lmj = basis[j][0]
-    entries = {}
+    keys = []
     for i in range(j):
         lcm = _monomial_lcm(basis[i][0], lmj)
-        entries[(i, j)] = (sum(lcm), lcm, (i, j))
-    return entries
+        keys.append((sum(lcm), lcm, (i, j)))
+    return keys
 
 
 def buchberger(gens) -> GroebnerBasis:
@@ -142,14 +191,23 @@ def buchberger(gens) -> GroebnerBasis:
         raise ValueError("generators live in different rings")
     domain = ring.domain
 
-    basis = []      # monic (lm, terms) pairs
-    pending = {}    # every pair of basis indices not yet handled
+    basis = []        # monic (lm, terms) pairs
+    pending = set()   # every pair of basis indices not yet handled
+    queue = []        # heap of the selection keys of the pending pairs
+    divisors = {}     # divisor memo of _first_divisor for basis
+
+    def add_last():
+        for key in _pairs_with_last(basis):
+            pending.add(key[2])
+            heappush(queue, key)
+
     for g in gens:
         basis.append(_monic(g.terms, domain))
-        pending.update(_pairs_with_last(basis))
+        add_last()
 
-    while pending:
-        _, lcm, (i, j) = pending.pop(min(pending, key=pending.get))
+    while queue:
+        _, lcm, (i, j) = heappop(queue)
+        pending.remove((i, j))
         if _monomial_add(basis[i][0], basis[j][0]) == lcm:
             continue  # product criterion: disjoint leading terms
         if any(k != i and k != j and _monomial_divides(basis[k][0], lcm)
@@ -157,10 +215,11 @@ def buchberger(gens) -> GroebnerBasis:
                and (min(j, k), max(j, k)) not in pending
                for k in range(len(basis))):
             continue  # chain criterion: (i, k) and (j, k) have left the queue
-        h = _reduce_terms(_s_pair_terms(basis[i], basis[j], domain), basis, domain)
+        h = _reduce_terms(_s_pair_terms(basis[i], basis[j], domain), basis, domain,
+                          divisors)
         if h:
             basis.append(_monic(h, domain))
-            pending.update(_pairs_with_last(basis))
+            add_last()
 
     # minimalize: drop generators whose leading monomial is divisible by another
     keep = [i for i, (lm, _) in enumerate(basis)
@@ -170,7 +229,7 @@ def buchberger(gens) -> GroebnerBasis:
     # inter-reduce the minimal basis
     reduced = []
     for i in keep:
-        r = _reduce_terms(basis[i][1], [basis[k] for k in keep if k != i], domain)
+        r = _reduce_terms(basis[i][1], [basis[k] for k in keep if k != i], domain, {})
         if r:
             reduced.append(_monic(r, domain))
     reduced.sort(key=lambda pair: grevlex_key(pair[0]))

@@ -22,7 +22,8 @@ from fractions import Fraction
 from . import corpus
 from .fields import QQ, PrimeField
 from .groebner import buchberger, hilbert_degree_codim
-from .labels import DEFAULT_PRIME, DEFAULT_ROOTS, NODE_LABELS, validate_node_label
+from .labels import (DEFAULT_PRIME, DEFAULT_ROOTS, NODE_LABELS, node_token,
+                     validate_node_label)
 from .polynomials import Poly, PolyRing, ProjectivePoint, parse_polynomial, partial_derivatives
 
 QUARTIC_VARIABLES = ("X", "Y", "Z", "W")
@@ -122,8 +123,23 @@ class NodeVerification:
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
-        return (f"sixteen-nodes check: {status}, singular locus (codim, degree) = "
+        line = (f"sixteen-nodes check: {status}, singular locus (codim, degree) = "
                 f"({self.codim}, {self.degree})")
+        if self.first_failure is None:
+            return line
+        return f"{line}; {self._failure_text()}"
+
+    def _failure_text(self) -> str:
+        """The first failure in node tokens, e.g. 'E14 and E15 coincide mod 5'."""
+        failure = self.first_failure
+        if failure[0] == "dimension":
+            return "sixteen nodes need (3, 16)"
+        domain = next(iter(self.points.values())).domain
+        where = f" mod {domain.p}" if isinstance(domain, PrimeField) else ""
+        if failure in self.node_results:
+            return f"{node_token(failure)} is not a singular point of the quartic{where}"
+        first, second = failure
+        return f"{node_token(first)} and {node_token(second)} coincide{where}"
 
 
 def verify_sixteen_nodes(quartic: Poly, curve: Genus2Curve) -> NodeVerification:

@@ -65,6 +65,11 @@ def test_nodes_json_output(tmp_path, capsys):
 def test_nodes_mod_seven_all_distinct(capsys):
     # the sixteen points remain distinct after reduction mod 7
     assert cli.main(["nodes", "--paper-defaults", "--prime", "7"]) == cli.EXIT_OK
+    # but not mod 5, and the FAIL line names the colliding pair
+    assert cli.main(["nodes", "--paper-defaults", "--prime", "5"]) == cli.EXIT_NODES
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "sixteen-nodes check: FAIL, singular locus (codim, degree) = (2, 2); "
+        "E14 and E15 coincide mod 5")
 
 
 def test_nodes_bad_roots_config(tmp_path, capsys):

@@ -1,14 +1,16 @@
+from fractions import Fraction
 import itertools
 import random
 
 import pytest
 
 from ulrichcert.cohomology import section_basis
-from ulrichcert.fields import PrimeField
-from ulrichcert.groebner import buchberger, hilbert_degree_codim, normal_form, s_polynomial
+from ulrichcert.fields import QQ, PrimeField
+from ulrichcert.groebner import (_monic, _reduce_terms, buchberger, hilbert_degree_codim,
+                                 normal_form, s_polynomial)
 from ulrichcert.kummer import all_node_points
 from ulrichcert.linalg import rank
-from ulrichcert.polynomials import PolyRing, monomial_basis, partial_derivatives
+from ulrichcert.polynomials import PolyRing, grevlex_key, monomial_basis, partial_derivatives
 
 GF = PrimeField(32003)
 R2 = PolyRing(("x", "y"), GF)
@@ -182,3 +184,102 @@ def test_degree_slice_equivalence():
                 in_span = rank(span_rows + [row], len(mons_d), GF) == base_rank \
                     if span_rows else all(v == 0 for v in row)
                 assert in_span == normal_form(f, gb).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# reference reducer: the plain scan, with no heap and no divisor memo
+# ---------------------------------------------------------------------------
+
+def reference_remainder(f, gens) -> dict:
+    """Remainder of f by gens, scanning for the grevlex-largest remaining term
+    and for the first generator whose leading monomial divides it."""
+    domain = f.ring.domain
+    basis = []
+    for g in gens:
+        lm = max(g.terms, key=grevlex_key)
+        inv = domain.inv(g.terms[lm])
+        basis.append((lm, {m: domain.coerce(inv * c) for m, c in g.terms.items()}))
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=grevlex_key)
+        c = work.pop(m)
+        for lm, g in basis:
+            if all(x <= y for x, y in zip(lm, m)):
+                shift = tuple(x - y for x, y in zip(m, lm))
+                for gm, gc in g.items():
+                    if gm != lm:
+                        mm = tuple(x + y for x, y in zip(gm, shift))
+                        v = domain.coerce(work.get(mm, 0) - c * gc)
+                        if v:
+                            work[mm] = v
+                        else:
+                            work.pop(mm, None)
+                break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+def random_homogeneous(rng, ring, degree):
+    domain = ring.domain
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * ring.nvars
+        for _ in range(degree):
+            exps[rng.randrange(ring.nvars)] += 1
+        c = rng.randint(1, 100)
+        terms[tuple(exps)] = Fraction(c, rng.randint(1, 6)) if domain is QQ else c
+    return ring.poly(terms)
+
+
+def random_ideals():
+    """Seeded homogeneous ideals in 2 and 3 variables over GF(101) and Q."""
+    rng = random.Random(1701)
+    for domain in (PrimeField(101), QQ):
+        for names in (("x", "y"), ("x", "y", "z")):
+            ring = PolyRing(names, domain)
+            for _ in range(8):
+                gens = [random_homogeneous(rng, ring, rng.randint(1, 3))
+                        for _ in range(rng.randint(2, 3))]
+                probes = [random_homogeneous(rng, ring, d) for d in (2, 3, 4)]
+                yield gens, probes
+
+
+def test_normal_form_matches_reference_reducer():
+    for gens, probes in random_ideals():
+        gb = buchberger(gens)
+        for f in probes:
+            assert normal_form(f, gens).terms == reference_remainder(f, gens)
+            assert normal_form(f, gb).terms == reference_remainder(f, gb.generators)
+
+
+def test_buchberger_output_passes_reference_criterion():
+    """The reference reducer sends every S-polynomial of the output and every
+    input generator to zero."""
+    for gens, _ in random_ideals():
+        gb = buchberger(gens).generators
+        for f, g in itertools.combinations(gb, 2):
+            assert reference_remainder(s_polynomial(f, g), gb) == {}
+        for g in gens:
+            assert reference_remainder(g, gb) == {}
+
+
+def test_divisor_memo_rescans_after_the_basis_grows():
+    """y^3 has no divisor among (x^2+y^2, xy); once y^3 is appended it has one."""
+    basis = [_monic(X2Y2.terms, GF), _monic(XY.terms, GF)]
+    memo = {}
+    y3 = {(0, 3): 1}
+    assert _reduce_terms(y3, basis, GF, memo) == y3
+    assert memo[(0, 3)] == (None, 2)
+    basis.append(_monic(y3, GF))
+    assert _reduce_terms(y3, basis, GF, memo) == {}
+    assert memo[(0, 3)] == (2, 3)
+    assert buchberger([X2Y2, XY]).generators == (XY, X2Y2, R2.poly(y3))
+
+
+def test_buchberger_keeps_no_state_between_calls(gf, curve):
+    points = list(all_node_points(curve, gf).values())[:6]
+    first = buchberger([X2Y2, XY]).generators
+    buchberger(section_basis(3, points, R4))
+    assert buchberger([X2Y2, XY]).generators == first

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ulrichcert.fields import QQ, PrimeField
-from ulrichcert.kummer import (Genus2Curve, all_node_points, load_corpus_quartic,
-                               node_point, parse_quartic, sextic_coefficients,
+from ulrichcert.kummer import (Genus2Curve, NodeVerification, all_node_points,
+                               load_corpus_quartic, node_point, parse_quartic, sextic_coefficients,
                                verify_node, verify_sixteen_nodes)
 from ulrichcert.labels import NODE_LABELS
 from ulrichcert.polynomials import ProjectivePoint
@@ -147,3 +147,15 @@ def test_corpus_directory_override(tmp_path, monkeypatch, gf):
     assert len(load_corpus_quartic(gf).terms) == 2
     with pytest.raises(FileNotFoundError):
         load_corpus_quartic(gf, name="missing")
+
+
+def test_summary_names_the_first_failure(quartic, curve, gf):
+    locus = "sixteen-nodes check: {}, singular locus (codim, degree) = {}"
+    assert verify_sixteen_nodes(quartic, curve).summary() == locus.format("pass", "(3, 16)")
+    perturbed = parse_quartic("X^4", gf) + quartic
+    assert verify_sixteen_nodes(perturbed, curve).summary() == (
+        locus.format("FAIL", "(3, 1)") + "; E12 is not a singular point of the quartic mod 32003")
+    wrong_size = NodeVerification(passed=False, distinct=True, node_results={}, codim=2,
+                                  degree=2, first_failure=("dimension", 2, 2),
+                                  points=all_node_points(curve, gf))
+    assert wrong_size.summary() == locus.format("FAIL", "(2, 2)") + "; sixteen nodes need (3, 16)"
