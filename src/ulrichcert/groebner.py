@@ -1,30 +1,68 @@
 """Buchberger Groebner bases over a field, with normal forms, ideal
 membership, and Hilbert-series codimension/degree extraction.
 
-The basis under construction is one list of monic (leading monomial, terms)
-pairs; it only grows, by appending. Three structures keep every step of the
-inner loops free of scans, each choosing exactly what a scan would choose:
+Packed monomials. Inside ``buchberger``, ``normal_form`` and
+``s_polynomial`` a monomial in n variables is one Python int made of 2n
+fields of ``_FIELD_BITS`` bits. From the top down they hold the partial sums
+deg, deg - e[n-1], deg - e[n-1] - e[n-2], ..., e[0], and below those the
+exponents e[n-1], ..., e[0]. Monomials are packed once on entry and unpacked
+once on exit; every other module keeps exponent tuples.
 
-- The S-pair queue is a heap of selection keys (lcm degree, lcm exponent
-  tuple, pair indices), computed once when the pair is created, with the set
-  of queued pairs beside it for the chain criterion's "still queued" test.
-  Leading monomials never change, so the stored keys stay exact, and the
-  keys are unique (they end in the pair), so each pop gives the pair with the
-  smallest key among those queued: the normal selection strategy, in the
-  same order as recomputing the keys and taking the minimum at every pop.
+- Every field is a linear function of the exponents, so integer ``+``
+  multiplies two monomials and ``m - lm`` is the shift that carries a
+  leading monomial lm onto m. A tail term gm of lm's polynomial lands on
+  m + (gm - lm), so each basis entry keeps its tail as (gm - lm,
+  coefficient) pairs.
+- Integer order is grevlex. The top field compares degrees; at equal degree
+  the next fields compare deg - e[n-1], deg - e[n-1] - e[n-2], ..., which is
+  grevlex's rule that the smaller exponent of the last variable wins. The
+  partial sums determine the monomial, so the exponent fields never decide a
+  comparison.
+- The top bit of each exponent field is a guard bit. With G the mask of the
+  guard bits, a divides b iff ((b | G) - a) & G == G: setting b's guard bits
+  lets each field subtract on its own with no borrow into the next, and a
+  field keeps its guard bit exactly when b's exponent is at least a's. The
+  lcm takes each exponent field from the side this test finds larger and
+  rebuilds the partial sums with one multiplication.
+- All of this holds while every degree stays below ``_BOUND`` =
+  2**(_FIELD_BITS - 1). The kernel raises ValueError, naming the monomial,
+  when an input monomial or the lcm of an S-pair reaches it. Checking the
+  lcm suffices because grevlex is degree compatible: no monomial of a pair's
+  reduction exceeds the lcm's degree. Two degrees below the bound sum to
+  less than 2**_FIELD_BITS, so even an lcm that fails the check has exact
+  fields.
+
+Inter-reduced input. Before any pair is formed, each monic input generator
+is reduced by the ones kept so far. A nonzero remainder is kept, and every
+kept generator whose leading monomial it divides goes back on the to-do
+list. Generators that share a leading monomial, or are multiples of one
+another, therefore enter the pair queue once.
+
+The basis then only grows, by appending. Three structures keep every step
+of the inner loops free of scans, each choosing exactly what a scan would
+choose:
+
+- The S-pair queue is a heap of (packed lcm, (i, j)), computed once when the
+  pair is created, with the set of queued pairs beside it for the chain
+  criterion's "still queued" test. Leading monomials never change, so the
+  stored keys stay exact, and they are unique, so each pop gives the pair
+  whose lcm is grevlex-smallest, ties broken by the pair indices: the normal
+  selection strategy. Between pairs of one lcm degree the tie-break is
+  therefore grevlex on the lcm, then the indices.
 - A remainder under construction keeps the monomials still to reduce in a
-  heap keyed by the negated grevlex key, so the largest one is popped rather
-  than searched for. A key is pushed when its monomial enters the work dict
-  and skipped when popped after the monomial has cancelled. A reduction step
-  only adds monomials below the one it removes, so a popped monomial never
-  returns.
+  heap of negated packed monomials, so the largest one is popped rather than
+  searched for. A monomial is pushed when it enters the work dict and
+  skipped when popped after it has cancelled. A reduction step only adds
+  monomials below the one it removes, so a popped monomial never returns.
 - Within one ``buchberger`` run, a memo maps each monomial met in a
   reduction to the first basis index whose leading monomial divides it (or
   None) and the basis length searched. Appending never changes the first
   divisor once found, and a None answer is extended by searching only the
   entries appended since, so the memo picks the same divisor as a scan from
-  the start. It lives only for that run; every other reduction (normal forms,
-  the final inter-reduction over a different list) starts an empty one.
+  the start. One memo serves the input inter-reduction, which clears it
+  whenever a generator leaves the kept list, and then the pair loop. The
+  final inter-reduction starts another over the minimal basis, and each
+  normal form starts an empty one.
 
 Pairs are pruned with the standard product and chain criteria; for the chain
 criterion a pair counts as handled once it has left the queue. Output is the
@@ -40,34 +78,96 @@ import itertools
 import math
 import operator
 
-from .polynomials import Poly, grevlex_key
+from .polynomials import Poly
+
+_FIELD_BITS = 16
+_BOUND = 1 << (_FIELD_BITS - 1)   # every packed degree stays below this
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
-def _monomial_divides(a, b) -> bool:
-    """True iff monomial a divides monomial b."""
-    return all(map(operator.le, a, b))
+@functools.lru_cache(maxsize=None)
+def _layout(nvars: int):
+    """(weights, guard, exponents, sums, degree shift): the packing for nvars
+    variables.
+
+    A monomial packs to sum(e[k] * weights[k]). guard holds the guard bits
+    and exponents masks the exponent fields. The exponent fields alone, times
+    sums, give the partial-sum fields, plus carries above them. The packed
+    value shifted right by the degree shift is the degree.
+    """
+    width = _FIELD_BITS
+    sums = sum(1 << (nvars + j) * width for j in range(nvars))
+    weights = tuple((1 << k * width) + sum(1 << (nvars + j) * width for j in range(k, nvars))
+                    for k in range(nvars))
+    guard = sum(1 << (k * width + width - 1) for k in range(nvars))
+    return weights, guard, (1 << nvars * width) - 1, sums, (2 * nvars - 1) * width
 
 
-def _monomial_lcm(a, b):
-    return tuple(map(max, a, b))
+def _check_degree(m) -> None:
+    """Raise ValueError if exponent tuple m reaches the packing bound."""
+    if sum(m) >= _BOUND:
+        raise ValueError(f"monomial {m} has degree {sum(m)}; the Groebner kernel "
+                         f"packs degrees below {_BOUND}")
 
 
-def _monomial_sub(a, b):
-    return tuple(map(operator.sub, a, b))
+def _pack(terms: dict, layout) -> dict:
+    """terms with each exponent tuple packed into one int."""
+    weights, degree_shift = layout[0], layout[4]
+    packed = {sum(map(operator.mul, m, weights)): c for m, c in terms.items()}
+    if packed and max(packed) >> degree_shift >= _BOUND:
+        _check_degree(max(terms, key=sum))
+    return packed
 
 
-def _monomial_add(a, b):
-    return tuple(map(operator.add, a, b))
+def _unpack(m: int, nvars: int) -> tuple:
+    """The exponent tuple of a packed monomial."""
+    return tuple((m >> k * _FIELD_BITS) & _FIELD_MASK for k in range(nvars))
+
+
+def _poly(ring, terms: dict) -> Poly:
+    """The polynomial of packed terms."""
+    return Poly(ring, {_unpack(m, ring.nvars): c for m, c in terms.items()})
+
+
+def _divides(a: int, b: int, guard: int) -> bool:
+    """True iff packed monomial a divides packed monomial b."""
+    return ((b | guard) - a) & guard == guard
+
+
+def _lcm(a: int, b: int, layout) -> int:
+    """Packed lcm of two packed monomials, within the degree bound.
+
+    Each exponent field comes from the side that the guard test finds larger,
+    and one multiplication rebuilds the partial sums. Both degrees are below
+    _BOUND, so each partial sum of the lcm fits in its field.
+    """
+    weights, guard, exponents, sums, degree_shift = layout
+    pick = ((((a | guard) - b) & guard) >> (_FIELD_BITS - 1)) * _FIELD_MASK   # fields a >= b
+    e = (a & pick) | (b & exponents & ~pick)
+    lcm = e | (e * sums) & ((1 << degree_shift + _FIELD_BITS) - 1)
+    if lcm >> degree_shift >= _BOUND:
+        _check_degree(_unpack(lcm, len(weights)))
+    return lcm
 
 
 def _monic(terms: dict, domain):
-    """(leading monomial, terms scaled so its coefficient is 1)."""
-    lm = max(terms, key=grevlex_key)
+    """(leading monomial, tail) of packed terms scaled to a leading coefficient
+    of 1; the tail lists (m - leading monomial, coefficient) for the other m."""
+    lm = max(terms)
     inv = domain.inv(terms[lm])
-    return lm, {m: domain.coerce(inv * c) for m, c in terms.items()}
+    return lm, [(m - lm, domain.coerce(inv * c)) for m, c in terms.items() if m != lm]
 
 
-def _first_divisor(m, basis, divisors):
+def _terms(entry, domain) -> dict:
+    """Packed terms of a monic (lm, tail) pair."""
+    lm, tail = entry
+    terms = {lm: domain.coerce(1)}
+    for d, c in tail:
+        terms[lm + d] = c
+    return terms
+
+
+def _first_divisor(m: int, basis, guard: int, divisors):
     """Index of the first basis entry whose leading monomial divides m, or None.
 
     divisors memoizes m -> (answer, basis length searched) for a basis that
@@ -75,48 +175,46 @@ def _first_divisor(m, basis, divisors):
     """
     index, searched = divisors.get(m, (None, 0))
     if index is None and searched < len(basis):
+        mg = m | guard   # the guard test of _divides, with m's guard bits set once
         for k in range(searched, len(basis)):
-            if _monomial_divides(basis[k][0], m):
+            if (mg - basis[k][0]) & guard == guard:
                 index = k
                 break
         divisors[m] = (index, len(basis))
     return index
 
 
-def _reduce_terms(f: dict, basis, domain, divisors) -> dict:
-    """Full remainder of f modulo a list of monic (lm, terms) pairs.
+def _reduce(f: dict, basis, domain, guard: int, divisors) -> dict:
+    """Full remainder of packed terms f modulo a list of monic (lm, tail) pairs.
 
     divisors is the divisor memo of ``_first_divisor`` for this basis.
     """
     work = dict(f)
-    # (-deg, reversed exponents) is the negated grevlex key: the heap's
-    # smallest entry is the grevlex-largest monomial
-    heap = [(-sum(m), m[::-1], m) for m in work]
+    heap = [-m for m in work]   # the smallest entry is the grevlex-largest monomial
     heapify(heap)
     remainder = {}
+    coerce, get = domain.coerce, work.get
     while heap:
-        m = heappop(heap)[2]
+        m = -heappop(heap)
         c = work.pop(m, None)
         if c is None:
-            continue  # cancelled after its key was pushed
-        k = _first_divisor(m, basis, divisors)
+            continue  # cancelled after it was pushed
+        k = _first_divisor(m, basis, guard, divisors)
         if k is None:
             remainder[m] = c
             continue
-        lm, g = basis[k]
-        shift = _monomial_sub(m, lm)
-        for gm, gc in g.items():
-            if gm == lm:
-                continue
-            mm = _monomial_add(gm, shift)
-            old = work.get(mm)
-            v = domain.coerce((0 if old is None else old) - c * gc)
-            if v:
-                work[mm] = v
-                if old is None:
-                    heappush(heap, (-sum(mm), mm[::-1], mm))
-            elif old is not None:
-                del work[mm]
+        for d, gc in basis[k][1]:
+            mm = m + d
+            old = get(mm)
+            if old is None:
+                work[mm] = coerce(-c * gc)   # nonzero: a field has no zero divisors
+                heappush(heap, -mm)
+            else:
+                v = coerce(old - c * gc)
+                if v:
+                    work[mm] = v
+                else:
+                    del work[mm]
     return remainder
 
 
@@ -141,21 +239,16 @@ def normal_form(f: Poly, basis) -> Poly:
     ring = gens[0].ring
     if f.ring != ring:
         raise ValueError("polynomial and basis live in different rings")
-    domain = ring.domain
-    monic = [_monic(g.terms, domain) for g in gens]
-    return Poly(ring, _reduce_terms(f.terms, monic, domain, {}))
+    domain, layout = ring.domain, _layout(ring.nvars)
+    monic = [_monic(_pack(g.terms, layout), domain) for g in gens]
+    return _poly(ring, _reduce(_pack(f.terms, layout), monic, domain, layout[1], {}))
 
 
-def _s_pair_terms(f, g, domain) -> dict:
-    """S-polynomial of two monic (lm, terms) pairs."""
-    (lmf, ft), (lmg, gt) = f, g
-    lcm = _monomial_lcm(lmf, lmg)
-    sf, sg = _monomial_sub(lcm, lmf), _monomial_sub(lcm, lmg)
-    out = {}
-    for m, c in ft.items():
-        out[_monomial_add(m, sf)] = c
-    for m, c in gt.items():
-        mm = _monomial_add(m, sg)
+def _s_pair(f, g, lcm: int, domain) -> dict:
+    """Packed S-polynomial of two monic (lm, tail) pairs with the given lcm."""
+    out = {lcm + d: c for d, c in f[1]}
+    for d, c in g[1]:
+        mm = lcm + d
         v = domain.coerce(out.get(mm, 0) - c)
         if v:
             out[mm] = v
@@ -165,20 +258,31 @@ def _s_pair_terms(f, g, domain) -> dict:
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
-    domain = f.ring.domain
-    return Poly(f.ring, _s_pair_terms(_monic(f.terms, domain), _monic(g.terms, domain),
-                                      domain))
+    ring = f.ring
+    domain, layout = ring.domain, _layout(ring.nvars)
+    f, g = _monic(_pack(f.terms, layout), domain), _monic(_pack(g.terms, layout), domain)
+    return _poly(ring, _s_pair(f, g, _lcm(f[0], g[0], layout), domain))
 
 
-def _pairs_with_last(basis) -> list:
-    """Queue keys (deg lcm, lcm, (i, j)) of the pairs (i, j), j the last index."""
-    j = len(basis) - 1
-    lmj = basis[j][0]
-    keys = []
-    for i in range(j):
-        lcm = _monomial_lcm(basis[i][0], lmj)
-        keys.append((sum(lcm), lcm, (i, j)))
-    return keys
+def _inter_reduce(todo: list, domain, guard: int, divisors) -> list:
+    """Monic (lm, tail) pairs spanning the same ideal as the packed term dicts
+    in todo, none of whose leading monomials divides another's.
+
+    divisors is the divisor memo for the returned list; it is cleared
+    whenever an entry leaves the list.
+    """
+    kept = []
+    while todo:
+        r = _reduce(todo.pop(), kept, domain, guard, divisors)
+        if r:
+            lm, tail = _monic(r, domain)
+            back = [e for e in kept if _divides(lm, e[0], guard)]
+            if back:
+                todo.extend(_terms(e, domain) for e in back)
+                kept = [e for e in kept if not _divides(lm, e[0], guard)]
+                divisors.clear()
+            kept.append((lm, tail))
+    return kept
 
 
 def buchberger(gens) -> GroebnerBasis:
@@ -189,56 +293,62 @@ def buchberger(gens) -> GroebnerBasis:
     ring = gens[0].ring
     if any(g.ring != ring for g in gens):
         raise ValueError("generators live in different rings")
-    domain = ring.domain
+    domain, layout = ring.domain, _layout(ring.nvars)
+    guard = layout[1]
 
-    basis = []        # monic (lm, terms) pairs
-    pending = set()   # every pair of basis indices not yet handled
-    queue = []        # heap of the selection keys of the pending pairs
     divisors = {}     # divisor memo of _first_divisor for basis
+    basis = _inter_reduce([_pack(g.terms, layout) for g in reversed(gens)], domain, guard,
+                          divisors)
+    pending = set()   # every pair of basis indices not yet handled
+    queue = []        # heap of (lcm, pair) of the pending pairs
 
-    def add_last():
-        for key in _pairs_with_last(basis):
-            pending.add(key[2])
-            heappush(queue, key)
+    def add_pairs(j):
+        for i in range(j):
+            pending.add((i, j))
+            heappush(queue, (_lcm(basis[i][0], basis[j][0], layout), (i, j)))
 
-    for g in gens:
-        basis.append(_monic(g.terms, domain))
-        add_last()
+    for j in range(len(basis)):
+        add_pairs(j)
 
     while queue:
-        _, lcm, (i, j) = heappop(queue)
+        lcm, (i, j) = heappop(queue)
         pending.remove((i, j))
-        if _monomial_add(basis[i][0], basis[j][0]) == lcm:
+        if basis[i][0] + basis[j][0] == lcm:
             continue  # product criterion: disjoint leading terms
-        if any(k != i and k != j and _monomial_divides(basis[k][0], lcm)
+        lcm_guarded = lcm | guard   # the guard test of _divides, with lcm's guard bits set once
+        if any((lcm_guarded - lmk) & guard == guard and k != i and k != j
                and (min(i, k), max(i, k)) not in pending
                and (min(j, k), max(j, k)) not in pending
-               for k in range(len(basis))):
+               for k, (lmk, _) in enumerate(basis)):
             continue  # chain criterion: (i, k) and (j, k) have left the queue
-        h = _reduce_terms(_s_pair_terms(basis[i], basis[j], domain), basis, domain,
-                          divisors)
+        h = _reduce(_s_pair(basis[i], basis[j], lcm, domain), basis, domain, guard, divisors)
         if h:
             basis.append(_monic(h, domain))
-            add_last()
+            add_pairs(len(basis) - 1)
 
     # minimalize: drop generators whose leading monomial is divisible by another
-    keep = [i for i, (lm, _) in enumerate(basis)
-            if not any(j != i and _monomial_divides(other, lm) and (other != lm or j < i)
-                       for j, (other, _) in enumerate(basis))]
+    minimal = [(lm, tail) for i, (lm, tail) in enumerate(basis)
+               if not any(j != i and _divides(other, lm, guard) and (other != lm or j < i)
+                          for j, (other, _) in enumerate(basis))]
 
-    # inter-reduce the minimal basis
+    # inter-reduce: reduce each tail by the minimal basis; a leading monomial
+    # divides no smaller monomial, so no generator ever reduces its own tail
+    divisors = {}
     reduced = []
-    for i in keep:
-        r = _reduce_terms(basis[i][1], [basis[k] for k in keep if k != i], domain, {})
-        if r:
-            reduced.append(_monic(r, domain))
-    reduced.sort(key=lambda pair: grevlex_key(pair[0]))
-    return GroebnerBasis(tuple(Poly(ring, terms) for _, terms in reduced))
+    for lm, tail in sorted(minimal, key=operator.itemgetter(0)):
+        r = _reduce({lm + d: c for d, c in tail}, minimal, domain, guard, divisors)
+        reduced.append((lm, [(m - lm, c) for m, c in r.items()]))
+    return GroebnerBasis(tuple(_poly(ring, _terms(e, domain)) for e in reduced))
 
 
 # ---------------------------------------------------------------------------
 # Hilbert series of the leading-term ideal
 # ---------------------------------------------------------------------------
+
+def _monomial_divides(a, b) -> bool:
+    """True iff exponent tuple a divides exponent tuple b."""
+    return all(map(operator.le, a, b))
+
 
 def _minimalize(mons):
     mons = sorted(set(mons), key=lambda m: (sum(m), m))
@@ -265,8 +375,7 @@ def _k_numerator(mons):
         return tuple((d, (-1) ** d * math.comb(k, d)) for d in range(k + 1))
     g = max(mons, key=lambda m: (sum(m), m))
     rest = tuple(m for m in mons if m != g)
-    colon = _minimalize(
-        tuple(_monomial_sub(m, tuple(min(a, b) for a, b in zip(m, g))) for m in rest))
+    colon = _minimalize(tuple(tuple(max(a - b, 0) for a, b in zip(m, g)) for m in rest))
     out = {}
     for d, c in _k_numerator(_minimalize(rest)):
         out[d] = out.get(d, 0) + c

@@ -3,11 +3,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulrichcert.cohomology import section_basis
 from ulrichcert.fields import QQ, PrimeField
-from ulrichcert.groebner import (_monic, _reduce_terms, buchberger, hilbert_degree_codim,
-                                 normal_form, s_polynomial)
+from ulrichcert.groebner import (_BOUND, _divides, _layout, _lcm, _monic, _pack, _reduce,
+                                 _unpack, buchberger, hilbert_degree_codim, normal_form,
+                                 s_polynomial)
 from ulrichcert.kummer import all_node_points
 from ulrichcert.linalg import rank
 from ulrichcert.polynomials import PolyRing, grevlex_key, monomial_basis, partial_derivatives
@@ -221,6 +223,51 @@ def reference_remainder(f, gens) -> dict:
     return remainder
 
 
+def _monic_poly(f):
+    """(leading monomial, f scaled to leading coefficient 1)."""
+    lm = max(f.terms, key=grevlex_key)
+    inv = f.ring.domain.inv(f.terms[lm])
+    return lm, f.ring.poly({m: inv * c for m, c in f.terms.items()})
+
+
+def reference_basis(gens) -> tuple:
+    """Reduced Groebner basis by the textbook loop over exponent tuples.
+
+    Each input is replaced by its remainder by the inputs kept before it, and
+    dropped when that is zero; then every pair not excluded by the product
+    criterion is reduced by reference_remainder, the lowest lcm first, and the
+    result is minimalized and inter-reduced.
+    """
+    basis = []
+    for g in gens:
+        r = reference_remainder(g, [p for _, p in basis])
+        if r:
+            basis.append(_monic_poly(g.ring.poly(r)))
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    while pairs:
+        pairs.sort(key=lambda p: grevlex_key(tuple(map(max, basis[p[0]][0], basis[p[1]][0]))))
+        i, j = pairs.pop(0)
+        (lmf, f), (lmg, g) = basis[i], basis[j]
+        lcm = tuple(map(max, lmf, lmg))
+        if lcm == tuple(x + y for x, y in zip(lmf, lmg)):
+            continue
+        ring = f.ring
+        s = (f * ring.poly({tuple(x - y for x, y in zip(lcm, lmf)): 1})
+             - g * ring.poly({tuple(x - y for x, y in zip(lcm, lmg)): 1}))
+        h = reference_remainder(s, [p for _, p in basis])
+        if h:
+            basis.append(_monic_poly(ring.poly(h)))
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    minimal = []
+    for lm, g in sorted(basis, key=lambda pair: grevlex_key(pair[0])):
+        if not any(all(x <= y for x, y in zip(other, lm)) for other, _ in minimal):
+            minimal.append((lm, g))
+    return tuple(
+        _monic_poly(g.ring.poly(reference_remainder(
+            g, [p for k, (_, p) in enumerate(minimal) if k != i])))[1]
+        for i, (_, g) in enumerate(minimal))
+
+
 def random_homogeneous(rng, ring, degree):
     domain = ring.domain
     terms = {}
@@ -267,15 +314,18 @@ def test_buchberger_output_passes_reference_criterion():
 
 def test_divisor_memo_rescans_after_the_basis_grows():
     """y^3 has no divisor among (x^2+y^2, xy); once y^3 is appended it has one."""
-    basis = [_monic(X2Y2.terms, GF), _monic(XY.terms, GF)]
+    layout = _layout(2)
+    guard = layout[1]
+    basis = [_monic(_pack(X2Y2.terms, layout), GF), _monic(_pack(XY.terms, layout), GF)]
     memo = {}
-    y3 = {(0, 3): 1}
-    assert _reduce_terms(y3, basis, GF, memo) == y3
-    assert memo[(0, 3)] == (None, 2)
+    y3 = _pack({(0, 3): 1}, layout)
+    (packed_y3,) = y3
+    assert _reduce(y3, basis, GF, guard, memo) == y3
+    assert memo[packed_y3] == (None, 2)
     basis.append(_monic(y3, GF))
-    assert _reduce_terms(y3, basis, GF, memo) == {}
-    assert memo[(0, 3)] == (2, 3)
-    assert buchberger([X2Y2, XY]).generators == (XY, X2Y2, R2.poly(y3))
+    assert _reduce(y3, basis, GF, guard, memo) == {}
+    assert memo[packed_y3] == (2, 3)
+    assert buchberger([X2Y2, XY]).generators == (XY, X2Y2, R2.poly({(0, 3): 1}))
 
 
 def test_buchberger_keeps_no_state_between_calls(gf, curve):
@@ -283,3 +333,102 @@ def test_buchberger_keeps_no_state_between_calls(gf, curve):
     first = buchberger([X2Y2, XY]).generators
     buchberger(section_basis(3, points, R4))
     assert buchberger([X2Y2, XY]).generators == first
+
+
+# ---------------------------------------------------------------------------
+# packed monomials and inter-reduced input
+# ---------------------------------------------------------------------------
+
+def _packed(m, layout) -> int:
+    (p,) = _pack({m: 1}, layout)
+    return p
+
+
+# two monomials of up to five variables with exponents this small sum to a
+# degree below the packing bound
+EXPONENT = (_BOUND - 1) // 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, EXPONENT)] * n), min_size=3, max_size=3)))
+def test_packing_matches_exponent_tuples(monomials):
+    a, b, c = monomials
+    n = len(a)
+    layout = _layout(n)
+    guard = layout[1]
+    pa, pb = _packed(a, layout), _packed(b, layout)
+    ac = tuple(x + y for x, y in zip(a, c))
+    assert _unpack(pa, n) == a and _unpack(pb, n) == b
+    assert (pa < pb) == (grevlex_key(a) < grevlex_key(b))
+    assert (pa == pb) == (a == b)
+    assert _divides(pa, pb, guard) == all(x <= y for x, y in zip(a, b))
+    assert _divides(pa, _packed(ac, layout), guard)
+    assert pa + _packed(c, layout) == _packed(ac, layout)
+    assert _lcm(pa, pb, layout) == _packed(tuple(map(max, a, b)), layout)
+
+
+def test_packing_bound_is_checked():
+    x = R2.variable(0)
+    edge = R2.poly({(_BOUND - 1, 0): 1})
+    assert buchberger([edge]).generators == (edge,)
+    assert normal_form(edge, [x]).is_zero()
+    with pytest.raises(ValueError, match=rf"\({_BOUND}, 0\)"):
+        buchberger([R2.poly({(_BOUND, 0): 1})])
+    big = R2.poly({(40000, 0): 1, (0, 1): 1})
+    with pytest.raises(ValueError, match=r"\(40000, 0\)"):
+        buchberger([big])
+    with pytest.raises(ValueError, match=r"\(40000, 0\)"):
+        normal_form(big, [x])
+    with pytest.raises(ValueError, match=r"\(40000, 0\)"):
+        normal_form(x, [big])
+    # each generator packs, but the lcm of their leading monomials does not
+    with pytest.raises(ValueError, match=r"\(20000, 20000\)"):
+        buchberger([R2.poly({(20000, 1): 1}), R2.poly({(1, 20000): 1})])
+
+
+def _inter_reduction_cases():
+    """Inputs with repeated leading monomials, a scalar multiple, a new leading
+    monomial that divides an earlier one, and non-homogeneous sets."""
+    for domain in (PrimeField(101), QQ):
+        r2 = PolyRing(("x", "y"), domain)
+        x, y = r2.variable(0), r2.variable(1)
+        yield [x * x + y * y, x * x + x * y, x * x + x * y * 3 + y * y]
+        yield [x * y + y * y, (x * y + y * y) * 5, x * x + y * y]
+        yield [x * x * y + y * y * y, x * y + y * y]
+        yield [x * x + y + r2.poly({(0, 0): 1}), x * y - x, y * y + x * 2]
+        r3 = PolyRing(("x", "y", "z"), domain)
+        x, y, z = (r3.variable(i) for i in range(3))
+        half = r3.poly({(0, 0, 0): Fraction(1, 2)})
+        yield [x * y + z * z, x * y + x * z, x * y - y * z + z * z, (x * y + z * z) * 7]
+        yield [x * x * z + y * y * z, x * z - y * z, y * y + x * z]
+        yield [x * x + y * z + half, x * y - z, y * y * z + x + half * 3]
+
+
+def test_chain_criterion_skips_only_pairs_whose_partners_left_the_queue():
+    """The leading monomials xy, yz, xz pairwise have lcm xyz, which the
+    third divides; a chain criterion that ignored the queue would skip all
+    three pairs and miss z^3."""
+    ring = PolyRing(("x", "y", "z"), PrimeField(101))
+    x, y, z = (ring.variable(i) for i in range(3))
+    gens = [x * y + z * z, y * z + z * z, x * z + z * z]
+    assert buchberger(gens).generators == reference_basis(gens)
+    assert ring.poly({(0, 0, 3): 1}) in buchberger(gens).generators
+
+
+@pytest.mark.parametrize("gens", list(_inter_reduction_cases()))
+def test_inter_reduced_input_matches_reference_basis(gens):
+    expected = reference_basis(gens)
+    for perm in itertools.permutations(gens):
+        assert buchberger(list(perm)).generators == expected
+
+
+def test_seeded_point_ideals_match_reference_basis(gf, curve):
+    """70 vanishing ideals of 4 to 10 nodes, cut out by cubics (seed 1)."""
+    points = all_node_points(curve, gf)
+    labels = list(points)
+    rng = random.Random(1)
+    for k in range(4, 11):
+        for _ in range(10):
+            gens = section_basis(3, [points[lab] for lab in rng.sample(labels, k)], R4)
+            assert buchberger(gens).generators == reference_basis(gens)
