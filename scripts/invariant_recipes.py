@@ -2,10 +2,14 @@
 """Enumerate every twelve-node recipe whose candidate class is fixed by the
 switch involution, and compute both effectivity values for each.
 
-This documents the obstruction on the bundled surface: each of the 24
-invariant recipes admits a quadric through its twelve nodes, so none of them
-passes the degree-2 vanishing. The 4/12 splits that do reach (0, 0) all
-belong to non-invariant candidates.
+For each invariant recipe it prints h0(1, four), the number of independent
+hyperplanes through the four nodes outside the recipe, and h0(2, twelve), the
+number of independent quadrics through its twelve nodes; the last line counts
+the invariant recipes and those with both values 0. On the bundled surface
+all 24 invariant recipes have h0(2, twelve) = 1, so each fails the doubled
+check ``check_m_minus_h``, which counts sections of 2(M - H). That blocks the
+check, not the class: h0 of the double does not decide whether M - H is
+effective (see "The bundled configuration" in the README).
 """
 import itertools
 

@@ -38,8 +38,8 @@ kept generator whose leading monomial it divides goes back on the to-do
 list. Generators that share a leading monomial, or are multiples of one
 another, therefore enter the pair queue once.
 
-The basis then only grows, by appending. Three structures keep every step
-of the inner loops free of scans, each choosing exactly what a scan would
+The basis then only grows, by appending. Two structures keep the choice of
+S-pair and of divisor free of scans, each choosing exactly what a scan would
 choose:
 
 - The S-pair queue is a heap of (packed lcm, (i, j)), computed once when the
@@ -49,11 +49,6 @@ choose:
   whose lcm is grevlex-smallest, ties broken by the pair indices: the normal
   selection strategy. Between pairs of one lcm degree the tie-break is
   therefore grevlex on the lcm, then the indices.
-- A remainder under construction keeps the monomials still to reduce in a
-  heap of negated packed monomials, so the largest one is popped rather than
-  searched for. A monomial is pushed when it enters the work dict and
-  skipped when popped after it has cancelled. A reduction step only adds
-  monomials below the one it removes, so a popped monomial never returns.
 - Within one ``buchberger`` run, a memo maps each monomial met in a
   reduction to the first basis index whose leading monomial divides it (or
   None) and the basis length searched. Appending never changes the first
@@ -61,8 +56,15 @@ choose:
   entries appended since, so the memo picks the same divisor as a scan from
   the start. One memo serves the input inter-reduction, which clears it
   whenever a generator leaves the kept list, and then the pair loop. The
-  final inter-reduction starts another over the minimal basis, and each
-  normal form starts an empty one.
+  final pass starts another, and each normal form starts an empty one.
+
+A remainder under construction is a dict from packed monomial to nonzero
+coefficient, and its next term is the dict's largest key: packed order is
+grevlex, so ``max`` finds it in one pass at C speed.
+
+Reduced output. The final pass is ``_inter_reduce`` again, over the Groebner
+basis taken in ascending order of leading monomial, with a fresh memo; its
+docstring says why that yields the reduced basis.
 
 Pairs are pruned with the standard product and chain criteria; for the chain
 criterion a pair counts as handled once it has left the queue. Output is the
@@ -73,7 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import functools
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 import itertools
 import math
 import operator
@@ -187,34 +189,26 @@ def _first_divisor(m: int, basis, guard: int, divisors):
 def _reduce(f: dict, basis, domain, guard: int, divisors) -> dict:
     """Full remainder of packed terms f modulo a list of monic (lm, tail) pairs.
 
-    divisors is the divisor memo of ``_first_divisor`` for this basis.
+    divisors is the divisor memo of ``_first_divisor`` for this basis. The
+    work dict holds only nonzero coefficients: a term that cancels is deleted.
     """
     work = dict(f)
-    heap = [-m for m in work]   # the smallest entry is the grevlex-largest monomial
-    heapify(heap)
     remainder = {}
     coerce, get = domain.coerce, work.get
-    while heap:
-        m = -heappop(heap)
-        c = work.pop(m, None)
-        if c is None:
-            continue  # cancelled after it was pushed
+    while work:
+        m = max(work)   # packed order is grevlex
+        c = work.pop(m)
         k = _first_divisor(m, basis, guard, divisors)
         if k is None:
             remainder[m] = c
             continue
         for d, gc in basis[k][1]:
             mm = m + d
-            old = get(mm)
-            if old is None:
-                work[mm] = coerce(-c * gc)   # nonzero: a field has no zero divisors
-                heappush(heap, -mm)
+            v = coerce(get(mm, 0) - c * gc)
+            if v:
+                work[mm] = v
             else:
-                v = coerce(old - c * gc)
-                if v:
-                    work[mm] = v
-                else:
-                    del work[mm]
+                del work[mm]   # present: c * gc is nonzero, as a field has no zero divisors
     return remainder
 
 
@@ -270,6 +264,19 @@ def _inter_reduce(todo: list, domain, guard: int, divisors) -> list:
 
     divisors is the divisor memo for the returned list; it is cleared
     whenever an entry leaves the list.
+
+    todo is taken from the end. Given a Groebner basis sorted by descending
+    leading monomial, it takes the generators in ascending order and returns
+    the reduced Groebner basis, in ascending order and monic:
+
+    - a generator whose leading monomial a kept one divides reduces to zero.
+      A nonzero remainder would lie in the ideal with a leading monomial
+      below the generator's, so some basis element taken earlier would have
+      a leading monomial dividing it, and every one taken earlier has its
+      leading monomial divisible by a kept one;
+    - any other generator keeps its leading monomial, and its tail is fully
+      reduced by the kept ones. The tail lies below every later leading
+      monomial, so no kept entry is ever put back.
     """
     kept = []
     while todo:
@@ -326,18 +333,8 @@ def buchberger(gens) -> GroebnerBasis:
             basis.append(_monic(h, domain))
             add_pairs(len(basis) - 1)
 
-    # minimalize: drop generators whose leading monomial is divisible by another
-    minimal = [(lm, tail) for i, (lm, tail) in enumerate(basis)
-               if not any(j != i and _divides(other, lm, guard) and (other != lm or j < i)
-                          for j, (other, _) in enumerate(basis))]
-
-    # inter-reduce: reduce each tail by the minimal basis; a leading monomial
-    # divides no smaller monomial, so no generator ever reduces its own tail
-    divisors = {}
-    reduced = []
-    for lm, tail in sorted(minimal, key=operator.itemgetter(0)):
-        r = _reduce({lm + d: c for d, c in tail}, minimal, domain, guard, divisors)
-        reduced.append((lm, [(m - lm, c) for m, c in r.items()]))
+    basis.sort(key=operator.itemgetter(0), reverse=True)   # popped in ascending order
+    reduced = _inter_reduce([_terms(e, domain) for e in basis], domain, guard, {})
     return GroebnerBasis(tuple(_poly(ring, _terms(e, domain)) for e in reduced))
 
 

@@ -165,8 +165,7 @@ def verify_sixteen_nodes(quartic: Poly, curve: Genus2Curve) -> NodeVerification:
     all_singular = all(node_results.values())
     if first_failure is None and not all_singular:
         first_failure = next(lab for lab, ok in node_results.items() if not ok)
-    gens = [quartic] + partial_derivatives(quartic)
-    gb = buchberger([g for g in gens if not g.is_zero()])
+    gb = buchberger([quartic] + partial_derivatives(quartic))
     codim, degree = hilbert_degree_codim(gb)
     dims_ok = (codim, degree) == (3, 16)
     if first_failure is None and not dims_ok:

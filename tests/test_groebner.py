@@ -189,7 +189,7 @@ def test_degree_slice_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# reference reducer: the plain scan, with no heap and no divisor memo
+# reference reducer: the plain scan over exponent tuples, with no divisor memo
 # ---------------------------------------------------------------------------
 
 def reference_remainder(f, gens) -> dict:
@@ -432,3 +432,33 @@ def test_seeded_point_ideals_match_reference_basis(gf, curve):
         for _ in range(10):
             gens = section_basis(3, [points[lab] for lab in rng.sample(labels, k)], R4)
             assert buchberger(gens).generators == reference_basis(gens)
+
+
+def test_appended_generator_reduces_an_earlier_tail():
+    """The pair (xy, x^2 + y^2) appends y^3, which divides the tail of the
+    input z^5 + y^3; the final pass must reduce that tail to leave z^5."""
+    ring = PolyRing(("x", "y", "z"), PrimeField(101))
+    x, y = ring.variable(0), ring.variable(1)
+    gens = [x * y, x * x + y * y, ring.poly({(0, 0, 5): 1, (0, 3, 0): 1})]
+    expected = reference_basis(gens)
+    assert ring.poly({(0, 0, 5): 1}) in expected
+    for perm in itertools.permutations(gens):
+        assert buchberger(list(perm)).generators == expected
+
+
+@st.composite
+def small_ideals(draw):
+    """Up to four nonzero polynomials of degree at most 3 in 2 or 3 variables
+    over GF(101)."""
+    nvars = draw(st.integers(2, 3))
+    ring = PolyRing(("x", "y", "z")[:nvars], PrimeField(101))
+    monomials = [m for d in range(4) for m in monomial_basis(d, nvars)]
+    poly = st.dictionaries(st.sampled_from(monomials), st.integers(1, 100),
+                           min_size=1, max_size=4).map(ring.poly)
+    return draw(st.lists(poly, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals())
+def test_small_random_ideals_match_reference_basis(gens):
+    assert buchberger(gens).generators == reference_basis(gens)
