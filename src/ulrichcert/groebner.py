@@ -58,9 +58,13 @@ choose:
   whenever a generator leaves the kept list, and then the pair loop. The
   final pass starts another, and each normal form starts an empty one.
 
-A remainder under construction is a dict from packed monomial to nonzero
-coefficient, and its next term is the dict's largest key: packed order is
-grevlex, so ``max`` finds it in one pass at C speed.
+A remainder under construction is a dict from packed monomial to a
+coefficient that is not yet normalised: a reduction step stores the plain
+sum ``get(mm, 0) - c * gc``, which may be zero in the field. Its next term
+is the dict's largest key (packed order is grevlex, so ``max`` finds it in
+one pass at C speed), and that term is normalised once, when it is popped,
+and skipped if it is zero. Only normalised, nonzero coefficients reach the
+remainder.
 
 Reduced output. The final pass is ``_inter_reduce`` again, over the Groebner
 basis taken in ascending order of leading monomial, with a fresh memo; its
@@ -190,25 +194,24 @@ def _reduce(f: dict, basis, domain, guard: int, divisors) -> dict:
     """Full remainder of packed terms f modulo a list of monic (lm, tail) pairs.
 
     divisors is the divisor memo of ``_first_divisor`` for this basis. The
-    work dict holds only nonzero coefficients: a term that cancels is deleted.
+    work dict holds unnormalised sums; a term is normalised once, when it is
+    popped, and dropped if it is zero in the field.
     """
     work = dict(f)
     remainder = {}
     coerce, get = domain.coerce, work.get
     while work:
         m = max(work)   # packed order is grevlex
-        c = work.pop(m)
+        c = coerce(work.pop(m))
+        if not c:
+            continue
         k = _first_divisor(m, basis, guard, divisors)
         if k is None:
             remainder[m] = c
             continue
         for d, gc in basis[k][1]:
             mm = m + d
-            v = coerce(get(mm, 0) - c * gc)
-            if v:
-                work[mm] = v
-            else:
-                del work[mm]   # present: c * gc is nonzero, as a field has no zero divisors
+            work[mm] = get(mm, 0) - c * gc
     return remainder
 
 
@@ -252,7 +255,13 @@ def _s_pair(f, g, lcm: int, domain) -> dict:
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
+    """S-polynomial of two nonzero polynomials of one ring, from their monic
+    forms."""
+    if f.is_zero() or g.is_zero():
+        raise ValueError("zero polynomial has no leading monomial")
     ring = f.ring
+    if g.ring != ring:
+        raise ValueError("polynomials live in different rings")
     domain, layout = ring.domain, _layout(ring.nvars)
     f, g = _monic(_pack(f.terms, layout), domain), _monic(_pack(g.terms, layout), domain)
     return _poly(ring, _s_pair(f, g, _lcm(f[0], g[0], layout), domain))

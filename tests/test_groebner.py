@@ -434,6 +434,36 @@ def test_seeded_point_ideals_match_reference_basis(gf, curve):
             assert buchberger(gens).generators == reference_basis(gens)
 
 
+def test_seeded_point_ideals_start_from_their_cubic_slice(gf, curve):
+    """section_basis gives the 70 cubic slices of the seeded point ideals
+    already reduced: Buchberger returns them as its degree-3 part."""
+    points = all_node_points(curve, gf)
+    labels = list(points)
+    rng = random.Random(1)
+    for k in range(4, 11):
+        for _ in range(10):
+            sections = section_basis(3, [points[lab] for lab in rng.sample(labels, k)], R4)
+            leading = [f.leading_monomial() for f in sections]
+            for f, lm in zip(sections, leading):
+                assert f.terms[lm] == 1
+                assert not any(other in f.terms for other in leading if other != lm)
+            cubics = [g for g in buchberger(sections).generators if g.total_degree() == 3]
+            assert [g.terms for g in cubics] == [f.terms for f in sections]
+
+
+def test_s_polynomial_rejects_a_zero_input():
+    with pytest.raises(ValueError, match="zero polynomial has no leading monomial"):
+        s_polynomial(R2.zero(), R2.variable(0))
+    with pytest.raises(ValueError, match="zero polynomial has no leading monomial"):
+        s_polynomial(R2.variable(0), R2.zero())
+
+
+def test_s_polynomial_rejects_polynomials_of_different_rings():
+    other = PolyRing(("x", "y"), PrimeField(103))
+    with pytest.raises(ValueError, match="live in different rings"):
+        s_polynomial(PolyRing(("x", "y"), PrimeField(101)).variable(0), other.variable(0))
+
+
 def test_appended_generator_reduces_an_earlier_tail():
     """The pair (xy, x^2 + y^2) appends y^3, which divides the tail of the
     input z^5 + y^3; the final pass must reduce that tail to leave z^5."""

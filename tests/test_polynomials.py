@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ulrichcert.cohomology import section_basis
 from ulrichcert.fields import QQ, PrimeField
+from ulrichcert.groebner import buchberger, normal_form, s_polynomial
 from ulrichcert.labels import join_terms, split_terms
 from ulrichcert.linalg import kernel_basis, rref
 from ulrichcert.polynomials import (PolyRing, ProjectivePoint, format_polynomial,
@@ -123,17 +125,27 @@ def _normalised(x, domain) -> bool:
     return type(x) is int and 0 <= x < domain.p
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from((RING, RING_Q)), st_poly_terms, st_poly_terms,
        st.tuples(*(st.integers(-10 ** 6, 10 ** 6) for _ in range(4))),
        st.lists(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=4, max_size=4),
                 min_size=1, max_size=4))
 def test_arithmetic_results_stay_normalised(ring, t1, t2, point, rows):
     """Zero tests read an element's truthiness, which is exact only while every
-    GF(p) element is an int in [0, p) and every rational one a Fraction."""
+    GF(p) element is an int in [0, p) and every rational one a Fraction.
+
+    The Groebner kernel keeps unnormalised sums while it reduces, so its
+    results are checked too."""
     dom = ring.domain
     f, g = ring.poly(t1), ring.poly(t2)
-    for h in [f + g, f - g, f * g, (f + g) * (f - g)] + [f.diff(i) for i in range(4)]:
+    results = [f + g, f - g, f * g, (f + g) * (f - g)] + [f.diff(i) for i in range(4)]
+    if not f.is_zero() and not g.is_zero():
+        results += [normal_form(f, [g]), s_polynomial(f, g)]
+        results += buchberger([f, g]).generators
+    points = list(dict.fromkeys(ProjectivePoint(dom, row) for row in rows
+                                if any(dom.coerce(x) for x in row)))
+    results += section_basis(2, points, ring)
+    for h in results:
         assert all(c and _normalised(c, dom) for c in h.terms.values())
     assert _normalised(f.evaluate(point), dom)
     mat, _ = rref(rows, 4, dom)
