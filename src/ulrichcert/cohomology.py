@@ -81,23 +81,9 @@ def h0_forms_through_points(d: int, points) -> int:
 
 
 def section_basis(d: int, points, ring) -> list:
-    """The reduced echelon basis of the degree-d forms through the points, in
-    a ring of four variables.
-
-    The columns go to ``kernel_basis`` in grevlex-ascending order, so each
-    section is monic in its own free monomial, which is its leading monomial,
-    and its tail holds only pivot monomials, which lead no section. The list
-    is ascending by leading monomial: the degree-d part of the reduced
-    Groebner basis of the ideal these forms generate.
-    """
-    if ring.nvars != 4:
-        raise ValueError(f"forms through points in P^3 need 4 variables, not {ring.nvars}")
+    """Polynomials spanning the degree-d forms through the points."""
     rows, mons = evaluation_matrix(d, points)
-    mons.reverse()
-    rows = [row[::-1] for row in rows]
-    # kernel_basis coerced every entry, and the monomials are exponent tuples
-    # of the ring, so ring.poly would only check them again
-    return [Poly(ring, {m: c for m, c in zip(mons, vec) if c})
+    return [ring.poly({m: c for m, c in zip(mons, vec) if c})
             for vec in kernel_basis(rows, len(mons), ring.domain)]
 
 
@@ -156,11 +142,7 @@ def _forms_through_nodes(d, points_by_label, ring, name, inferences) -> CheckRec
     if 2 in support:
         inferences += ("exceptional-twist",)
     labels = support.get(-2, ())
-    # the witness keeps the grevlex-descending kernel convention, not
-    # section_basis's echelon basis, because certificate bodies are frozen
-    rows, mons = evaluation_matrix(degree, [points_by_label[l] for l in labels])
-    sections = [ring.poly({m: c for m, c in zip(mons, vec) if c})
-                for vec in kernel_basis(rows, len(mons), ring.domain)]
+    sections = section_basis(degree, [points_by_label[l] for l in labels], ring)
     return CheckRecord(
         name=name,
         justification="+".join(inferences + ("sections-through-nodes", "finite-field-model")),

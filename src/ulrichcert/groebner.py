@@ -32,11 +32,16 @@ once on exit; every other module keeps exponent tuples.
   less than 2**_FIELD_BITS, so even an lcm that fails the check has exact
   fields.
 
-Inter-reduced input. Before any pair is formed, each monic input generator
-is reduced by the ones kept so far. A nonzero remainder is kept, and every
-kept generator whose leading monomial it divides goes back on the to-do
-list. Generators that share a leading monomial, or are multiples of one
-another, therefore enter the pair queue once.
+Inter-reduced input. Before any pair is formed, ``_echelon`` takes the
+input to the reduced row echelon form of its linear span: monic rows with
+distinct leading monomials, no row's tail holding another's. Generators that
+share a leading monomial, or are multiples of one another, therefore enter
+the pair queue once. When the rows' leading monomials have more than one
+degree, each row is then reduced by the ones kept so far; a nonzero
+remainder is kept, and every kept row whose leading monomial it divides goes
+back on the to-do list. Rows of one degree skip that step: a leading
+monomial divides no monomial of lower degree, and one of its own degree
+only by equalling it, so they are already inter-reduced.
 
 The basis then only grows, by appending. Two structures keep the choice of
 S-pair and of divisor free of scans, each choosing exactly what a scan would
@@ -68,7 +73,9 @@ remainder.
 
 Reduced output. The final pass is ``_inter_reduce`` again, over the Groebner
 basis taken in ascending order of leading monomial, with a fresh memo; its
-docstring says why that yields the reduced basis.
+docstring says why that yields the reduced basis. It is skipped when the
+rows were of one degree and no S-pair added a generator: the basis is then
+the echelon rows, already reduced and ascending.
 
 Pairs are pruned with the standard product and chain criteria; for the chain
 criterion a pair counts as handled once it has left the queue. Output is the
@@ -267,6 +274,45 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     return _poly(ring, _s_pair(f, g, _lcm(f[0], g[0], layout), domain))
 
 
+def _echelon(polys, domain) -> list:
+    """Monic (lm, tail) pairs, ascending by lm, that form the reduced row
+    echelon form of the linear span of packed term dicts: no row's tail holds
+    any row's leading monomial.
+
+    Subtracting a row from the next input therefore clears exactly the row's
+    leading monomial and brings in no other, so the rows can be subtracted in
+    any order.
+    """
+    coerce, inv = domain.coerce, domain.inv
+    rows = {}   # leading monomial -> tail of its monic row
+    for f in polys:
+        f = dict(f)
+        get = f.get
+        for lm, tail in rows.items():
+            c = f.pop(lm, 0)   # f stays unnormalised until every row is subtracted
+            if c:
+                for m, rc in tail.items():
+                    f[m] = get(m, 0) - c * rc
+        f = {m: v for m, c in f.items() if (v := coerce(c))}
+        if not f:
+            continue
+        lm = max(f)
+        s = inv(f.pop(lm))
+        f = {m: coerce(s * c) for m, c in f.items()}
+        for tail in rows.values():
+            c = tail.pop(lm, 0)
+            if c:
+                for m, fc in f.items():
+                    v = coerce(tail.get(m, 0) - c * fc)
+                    if v:
+                        tail[m] = v
+                    else:
+                        del tail[m]
+        rows[lm] = f
+    return [(lm, [(m - lm, c) for m, c in sorted(rows[lm].items(), reverse=True)])
+            for lm in sorted(rows)]
+
+
 def _inter_reduce(todo: list, domain, guard: int, divisors) -> list:
     """Monic (lm, tail) pairs spanning the same ideal as the packed term dicts
     in todo, none of whose leading monomials divides another's.
@@ -313,8 +359,13 @@ def buchberger(gens) -> GroebnerBasis:
     guard = layout[1]
 
     divisors = {}     # divisor memo of _first_divisor for basis
-    basis = _inter_reduce([_pack(g.terms, layout) for g in reversed(gens)], domain, guard,
-                          divisors)
+    basis = _echelon([_pack(g.terms, layout) for g in gens], domain)
+    # rows whose leading monomials share one degree are already inter-reduced
+    reduced = basis[0][0] >> layout[4] == basis[-1][0] >> layout[4]
+    if not reduced:
+        basis = _inter_reduce([_terms(e, domain) for e in reversed(basis)], domain, guard,
+                              divisors)
+    size = len(basis)
     pending = set()   # every pair of basis indices not yet handled
     queue = []        # heap of (lcm, pair) of the pending pairs
 
@@ -342,9 +393,10 @@ def buchberger(gens) -> GroebnerBasis:
             basis.append(_monic(h, domain))
             add_pairs(len(basis) - 1)
 
-    basis.sort(key=operator.itemgetter(0), reverse=True)   # popped in ascending order
-    reduced = _inter_reduce([_terms(e, domain) for e in basis], domain, guard, {})
-    return GroebnerBasis(tuple(_poly(ring, _terms(e, domain)) for e in reduced))
+    if not reduced or len(basis) > size:
+        basis.sort(key=operator.itemgetter(0), reverse=True)   # popped in ascending order
+        basis = _inter_reduce([_terms(e, domain) for e in basis], domain, guard, {})
+    return GroebnerBasis(tuple(_poly(ring, _terms(e, domain)) for e in basis))
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,12 @@ class PolyRing:
         if isinstance(terms, dict):
             terms = terms.items()
         out = {}
+        nvars, coerce = self.nvars, self.domain.coerce
         for mon, coeff in terms:
-            mon = tuple(int(e) for e in mon)
-            if len(mon) != self.nvars or any(e < 0 for e in mon):
+            mon = tuple(map(int, mon))
+            if len(mon) != nvars or (mon and min(mon) < 0):
                 raise ValueError(f"bad exponent tuple {mon}")
-            out[mon] = self.domain.coerce(out.get(mon, 0) + coeff)
+            out[mon] = coerce(out.get(mon, 0) + coeff)
         return Poly(self, {m: c for m, c in out.items() if c})
 
     def zero(self) -> "Poly":

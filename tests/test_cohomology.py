@@ -19,7 +19,7 @@ from ulrichcert.kummer import all_node_points, load_corpus_quartic, parse_quarti
 from ulrichcert.labels import NODE_LABELS, node_token
 from ulrichcert.picard import (BundleRecipe, DEFAULT_TWELVE, HALF_EVEN_EIGHT,
                                even_eight_test, hyperplane_class, node_class, polarization)
-from ulrichcert.polynomials import PolyRing, ProjectivePoint, partial_derivatives
+from ulrichcert.polynomials import ProjectivePoint, partial_derivatives
 
 FOUR = ((2, 3), (2, 5), (3, 4), (4, 5))
 REMARK_EIGHT = ((1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6))
@@ -81,11 +81,6 @@ def test_h0_eight_of_twelve_positive(nodes):
 def test_h0_rejects_repeated_points(nodes):
     with pytest.raises(ValueError):
         h0_forms_through_points(1, [nodes[(2, 3)], nodes[(2, 3)]])
-
-
-def test_section_basis_rejects_a_ring_not_of_four_variables(nodes, gf):
-    with pytest.raises(ValueError, match="need 4 variables, not 3"):
-        section_basis(1, [nodes[(2, 3)]], PolyRing(("X", "Y", "Z"), gf))
 
 
 def test_h0_monotone_and_rank_bounded(nodes):

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from ulrichcert.cohomology import section_basis
 from ulrichcert.fields import QQ, PrimeField
-from ulrichcert.groebner import (_BOUND, _divides, _layout, _lcm, _monic, _pack, _reduce,
-                                 _unpack, buchberger, hilbert_degree_codim, normal_form,
-                                 s_polynomial)
+from ulrichcert.groebner import (_BOUND, _divides, _echelon, _layout, _lcm, _monic, _pack,
+                                 _poly, _reduce, _terms, _unpack, buchberger,
+                                 hilbert_degree_codim, normal_form, s_polynomial)
 from ulrichcert.kummer import all_node_points
 from ulrichcert.linalg import rank
 from ulrichcert.polynomials import PolyRing, grevlex_key, monomial_basis, partial_derivatives
@@ -435,20 +435,40 @@ def test_seeded_point_ideals_match_reference_basis(gf, curve):
 
 
 def test_seeded_point_ideals_start_from_their_cubic_slice(gf, curve):
-    """section_basis gives the 70 cubic slices of the seeded point ideals
-    already reduced: Buchberger returns them as its degree-3 part."""
+    """Buchberger's degree-3 part of the 70 seeded point ideals is the reduced
+    row echelon form of their cubic slice, which the kernel computes from
+    section_basis before it forms any pair: every form is monic and holds no
+    other form's leading monomial."""
     points = all_node_points(curve, gf)
     labels = list(points)
+    layout = _layout(4)
     rng = random.Random(1)
     for k in range(4, 11):
         for _ in range(10):
             sections = section_basis(3, [points[lab] for lab in rng.sample(labels, k)], R4)
-            leading = [f.leading_monomial() for f in sections]
-            for f, lm in zip(sections, leading):
+            rows = _echelon([_pack(f.terms, layout) for f in sections], gf)
+            echelon = [_poly(R4, _terms(e, gf)) for e in rows]
+            leading = [f.leading_monomial() for f in echelon]
+            for f, lm in zip(echelon, leading):
                 assert f.terms[lm] == 1
                 assert not any(other in f.terms for other in leading if other != lm)
+            mons = monomial_basis(3, 4)
+            span = [[f.terms.get(m, 0) for m in mons] for f in sections]
+            assert rank(span + [[f.terms.get(m, 0) for m in mons] for f in echelon],
+                        len(mons), gf) == len(sections) == len(echelon)
             cubics = [g for g in buchberger(sections).generators if g.total_degree() == 3]
-            assert [g.terms for g in cubics] == [f.terms for f in sections]
+            assert [g.terms for g in cubics] == [f.terms for f in echelon]
+
+
+def test_rows_of_two_degrees_are_inter_reduced_without_an_s_pair():
+    """x and y^3 + xy have coprime leading monomials, so no S-pair adds a
+    generator, and the echelon form leaves the tail xy, which is not x; only
+    the input inter-reduction, run because the leading monomials have two
+    degrees, clears it."""
+    ring = PolyRing(("x", "y"), PrimeField(101))
+    x, y = ring.variable(0), ring.variable(1)
+    gens = [x, y * y * y + x * y]
+    assert buchberger(gens).generators == reference_basis(gens) == (x, y * y * y)
 
 
 def test_s_polynomial_rejects_a_zero_input():

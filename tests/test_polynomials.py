@@ -125,7 +125,7 @@ def _normalised(x, domain) -> bool:
     return type(x) is int and 0 <= x < domain.p
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from((RING, RING_Q)), st_poly_terms, st_poly_terms,
        st.tuples(*(st.integers(-10 ** 6, 10 ** 6) for _ in range(4))),
        st.lists(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=4, max_size=4),
@@ -135,13 +135,15 @@ def test_arithmetic_results_stay_normalised(ring, t1, t2, point, rows):
     GF(p) element is an int in [0, p) and every rational one a Fraction.
 
     The Groebner kernel keeps unnormalised sums while it reduces, so its
-    results are checked too."""
+    results are checked too, on the first three terms of f and g: that keeps
+    each Groebner basis within the default deadline."""
     dom = ring.domain
     f, g = ring.poly(t1), ring.poly(t2)
     results = [f + g, f - g, f * g, (f + g) * (f - g)] + [f.diff(i) for i in range(4)]
-    if not f.is_zero() and not g.is_zero():
-        results += [normal_form(f, [g]), s_polynomial(f, g)]
-        results += buchberger([f, g]).generators
+    f3, g3 = (ring.poly(dict(list(t.items())[:3])) for t in (t1, t2))
+    if not f3.is_zero() and not g3.is_zero():
+        results += [normal_form(f3, [g3]), s_polynomial(f3, g3)]
+        results += buchberger([f3, g3]).generators
     points = list(dict.fromkeys(ProjectivePoint(dom, row) for row in rows
                                 if any(dom.coerce(x) for x in row)))
     results += section_basis(2, points, ring)
