@@ -32,16 +32,17 @@ once on exit; every other module keeps exponent tuples.
   less than 2**_FIELD_BITS, so even an lcm that fails the check has exact
   fields.
 
-Inter-reduced input. Before any pair is formed, ``_echelon`` takes the
-input to the reduced row echelon form of its linear span: monic rows with
-distinct leading monomials, no row's tail holding another's. Generators that
-share a leading monomial, or are multiples of one another, therefore enter
-the pair queue once. When the rows' leading monomials have more than one
-degree, each row is then reduced by the ones kept so far; a nonzero
-remainder is kept, and every kept row whose leading monomial it divides goes
-back on the to-do list. Rows of one degree skip that step: a leading
-monomial divides no monomial of lower degree, and one of its own degree
-only by equalling it, so they are already inter-reduced.
+Inter-reduced input. Before any pair is formed, ``linalg.echelon``, keyed
+by packed monomial, takes the input to the reduced row echelon form of its
+linear span: monic rows with distinct leading monomials, no row's tail
+holding another's. Generators that share a leading monomial, or are
+multiples of one another, therefore enter the pair queue once. When the
+rows' leading monomials have more than one degree, each row is then reduced
+by the ones kept so far; a nonzero remainder is kept, and every kept row
+whose leading monomial it divides goes back on the to-do list. Rows of one
+degree skip that step: a leading monomial divides no monomial of lower
+degree, and one of its own degree only by equalling it, so they are already
+inter-reduced.
 
 The basis then only grows, by appending. Two structures keep the choice of
 S-pair and of divisor free of scans, each choosing exactly what a scan would
@@ -91,6 +92,7 @@ import itertools
 import math
 import operator
 
+from .linalg import echelon
 from .polynomials import Poly
 
 _FIELD_BITS = 16
@@ -276,39 +278,8 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 
 def _echelon(polys, domain) -> list:
     """Monic (lm, tail) pairs, ascending by lm, that form the reduced row
-    echelon form of the linear span of packed term dicts: no row's tail holds
-    any row's leading monomial.
-
-    Subtracting a row from the next input therefore clears exactly the row's
-    leading monomial and brings in no other, so the rows can be subtracted in
-    any order.
-    """
-    coerce, inv = domain.coerce, domain.inv
-    rows = {}   # leading monomial -> tail of its monic row
-    for f in polys:
-        f = dict(f)
-        get = f.get
-        for lm, tail in rows.items():
-            c = f.pop(lm, 0)   # f stays unnormalised until every row is subtracted
-            if c:
-                for m, rc in tail.items():
-                    f[m] = get(m, 0) - c * rc
-        f = {m: v for m, c in f.items() if (v := coerce(c))}
-        if not f:
-            continue
-        lm = max(f)
-        s = inv(f.pop(lm))
-        f = {m: coerce(s * c) for m, c in f.items()}
-        for tail in rows.values():
-            c = tail.pop(lm, 0)
-            if c:
-                for m, fc in f.items():
-                    v = coerce(tail.get(m, 0) - c * fc)
-                    if v:
-                        tail[m] = v
-                    else:
-                        del tail[m]
-        rows[lm] = f
+    echelon form of the linear span of packed term dicts (``linalg.echelon``)."""
+    rows = echelon(polys, domain)
     return [(lm, [(m - lm, c) for m, c in sorted(rows[lm].items(), reverse=True)])
             for lm in sorted(rows)]
 

@@ -4,7 +4,9 @@ diagonalization for determinants and signatures of symmetric forms.
 
 Conventions, fixed so that every routine is bit-for-bit deterministic:
 
-* ``rref`` scans pivot columns left to right and scales pivots to 1.
+* ``echelon`` is the one Gaussian elimination over a field. A row's pivot is
+  its largest key, and pivots are scaled to 1. Dense callers key column c as
+  -c, so pivots still run left to right.
 * Kernel bases come from the reduced row echelon form, one vector per free
   column, free columns in ascending order, with the free coordinate set to 1.
 * The Hermite normal form uses the leftmost available pivot column, positive
@@ -16,32 +18,56 @@ from fractions import Fraction
 import math
 
 
-def rref(rows, ncols, domain):
-    """Reduced row echelon form. Returns (new_rows, pivot_columns)."""
-    mat = [[domain.coerce(x) for x in row] for row in rows]
-    for row in mat:
+def echelon(rows, domain) -> dict:
+    """Reduced row echelon form of the span of sparse rows, as {pivot: tail}.
+
+    Each row is a dict from ordered keys to scalars, and a row's pivot is its
+    largest key with a nonzero entry. The returned rows are monic: the pivot's
+    entry 1 is left out of its tail. No tail holds any pivot, so subtracting a
+    row from a later input clears exactly that row's pivot and brings in no
+    other, and the rows can be subtracted in any order.
+    """
+    coerce, inv = domain.coerce, domain.inv
+    out = {}
+    for f in rows:
+        f = dict(f)
+        get = f.get
+        for pivot, tail in out.items():
+            c = f.pop(pivot, 0)   # f stays unnormalised until every row is subtracted
+            if c:
+                for k, rc in tail.items():
+                    f[k] = get(k, 0) - c * rc
+        f = {k: v for k, c in f.items() if (v := coerce(c))}
+        if not f:
+            continue
+        pivot = max(f)
+        s = inv(f.pop(pivot))
+        f = {k: coerce(s * c) for k, c in f.items()}
+        for tail in out.values():
+            c = tail.pop(pivot, 0)
+            if c:
+                for k, fc in f.items():
+                    v = coerce(tail.get(k, 0) - c * fc)
+                    if v:
+                        tail[k] = v
+                    else:
+                        del tail[k]
+        out[pivot] = f
+    return out
+
+
+def _dense_echelon(rows, ncols, domain) -> dict:
+    """``echelon`` of a dense matrix, column c keyed as -c."""
+    sparse = []
+    for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = domain.inv(mat[r][c])
-        mat[r] = [domain.coerce(inv * x) for x in mat[r]]
-        for i in range(len(mat)):
-            f = mat[i][c]
-            if i != r and f:
-                mat[i] = [domain.coerce(a - f * b) for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat, pivots
+        sparse.append({-c: x for c, x in enumerate(row) if x})
+    return echelon(sparse, domain)
 
 
 def rank(rows, ncols, domain) -> int:
-    return len(rref(rows, ncols, domain)[1])
+    return len(_dense_echelon(rows, ncols, domain))
 
 
 def kernel_basis(rows, ncols, domain):
@@ -49,15 +75,16 @@ def kernel_basis(rows, ncols, domain):
 
     The dimension is always ncols minus the rank; no tolerances are involved.
     """
-    mat, pivots = rref(rows, ncols, domain)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    pivots = _dense_echelon(rows, ncols, domain)
+    zero, one = domain.coerce(0), domain.coerce(1)
     basis = []
-    for fc in free:
-        vec = [domain.coerce(0)] * ncols
-        vec[fc] = domain.coerce(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = domain.coerce(-mat[r][fc])
+    for fc in range(ncols):
+        if -fc in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = one
+        for pivot, tail in pivots.items():
+            vec[-pivot] = domain.coerce(-tail.get(-fc, 0))
         basis.append(vec)
     return basis
 

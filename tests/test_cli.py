@@ -407,7 +407,7 @@ def modules_loaded_by(argv):
     (["lattice", "theta-check"], {"picard"}, CERTIFY_CHAIN),
     (["lattice", "incidence"], {"picard"}, CERTIFY_CHAIN),
     (["lattice", "even-eights"], {"picard"}, CERTIFY_CHAIN),
-    (["nodes", "--paper-defaults"], {"kummer", "fields"}, {"cohomology", "picard", "linalg"}),
+    (["nodes", "--paper-defaults"], {"kummer", "fields", "linalg"}, {"cohomology", "picard"}),
 ], ids=["import", "horikawa", "theta-check", "incidence", "even-eights", "nodes"])
 def test_each_command_imports_only_its_layers(argv, needed, absent):
     loaded = modules_loaded_by(argv)

@@ -1,13 +1,16 @@
 from fractions import Fraction
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulrichcert.fields import QQ, PrimeField
-from ulrichcert.linalg import (check_scaled_involution, determinant, hermite_normal_form,
-                               hnf_contains, integer_kernel, kernel_basis, rank, signature)
+from ulrichcert.linalg import (check_scaled_involution, determinant, echelon,
+                               hermite_normal_form, hnf_contains, integer_kernel, kernel_basis,
+                               rank, signature)
 
 GF = PrimeField(32003)
+GF5 = PrimeField(5)
 
 
 def test_kernel_of_identity_is_empty():
@@ -46,6 +49,45 @@ def test_kernel_vectors_annihilate(rows):
     for vec in kernel_basis(rows, 4, QQ):
         for row in rows:
             assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
+
+
+@st.composite
+def gf5_matrices(draw):
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
+                         max_size=4))
+    return rows, ncols
+
+
+@given(gf5_matrices())
+def test_kernel_basis_matches_brute_force_over_gf5(matrix):
+    """The oracle lists all 5**ncols vectors and does no elimination. Column c
+    is free iff it is a combination of the columns left of it, that is, iff c
+    is the last nonzero coordinate of some kernel vector; a kernel vector is
+    fixed by its free coordinates, so the free-column pattern pins the basis."""
+    rows, ncols = matrix
+    kernel = {x for x in itertools.product(range(5), repeat=ncols)
+              if all(sum(a * b for a, b in zip(row, x)) % 5 == 0 for row in rows)}
+    free = sorted({max(c for c in range(ncols) if x[c]) for x in kernel if any(x)})
+    basis = kernel_basis(rows, ncols, GF5)
+    assert len(kernel) == 5 ** len(basis)
+    assert rank(rows, ncols, GF5) + len(basis) == ncols
+    assert len(basis) == len(free)
+    for fc, vec in zip(free, basis):
+        assert tuple(vec) in kernel
+        assert [vec[c] for c in free] == [int(c == fc) for c in free]
+
+
+def test_echelon_of_tuple_keyed_rows():
+    """A duplicate row and a combination of earlier rows cancel to zero; the
+    third row's pivot is cleared from the first row's tail."""
+    r1 = {(2, 0): 2, (1, 1): 4, (0, 2): 2}
+    r3 = {(1, 1): 1, (0, 2): 3}
+    r4 = {(2, 0): 2, (1, 1): 2, (0, 2): -4}   # r1 - 2 r3
+    rows = echelon([r1, dict(r1), r3, r4], QQ)
+    assert rows == {(2, 0): {(0, 2): Fraction(-5)}, (1, 1): {(0, 2): Fraction(3)}}
+    assert all(type(c) is Fraction for tail in rows.values() for c in tail.values())
+    assert not any(pivot in tail for tail in rows.values() for pivot in rows)
 
 
 def integer_span_contains(generators, target) -> bool:

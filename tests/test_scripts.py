@@ -33,6 +33,13 @@ def test_even_eight_sweep_output_matches_golden():
     assert sweep.stdout == golden
 
 
+def test_invariant_recipes_output_matches_golden():
+    recipes = run_script("invariant_recipes.py")
+    assert recipes.returncode == 0, recipes.stderr
+    golden = (ROOT / "tests" / "golden" / "invariant_recipes.txt").read_text()
+    assert recipes.stdout == golden
+
+
 def test_run_certification_refutes_and_writes_a_loadable_certificate(tmp_path):
     out = tmp_path / "cert.json"
     run = run_script("run_certification.py", "--out", str(out))
