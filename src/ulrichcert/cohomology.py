@@ -436,10 +436,11 @@ def descend_from_document(document: dict) -> EnriquesReport:
         raise UncertifiedCertificateError(
             f"certificate verdict is {body.get('verdict')!r}")
     try:
-        recipe = checked_recipe(
-            body["recipe"]["kind"],
-            tuple(parse_node_token(t) for t in body["recipe"]["labels"]))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        labels = body["recipe"]["labels"]
+        if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
+            raise ValueError(f"recipe.labels is not a list of strings: {labels!r}")
+        recipe = checked_recipe(body["recipe"]["kind"], tuple(map(parse_node_token, labels)))
+    except (KeyError, TypeError, ValueError) as exc:
         raise CertificateIntegrityError(
             f"certificate body has a malformed recipe: {exc!r}") from exc
     h = polarization()

@@ -32,17 +32,11 @@ once on exit; every other module keeps exponent tuples.
   less than 2**_FIELD_BITS, so even an lcm that fails the check has exact
   fields.
 
-Inter-reduced input. Before any pair is formed, ``linalg.echelon``, keyed
-by packed monomial, takes the input to the reduced row echelon form of its
+Echelon input. Before any pair is formed, ``linalg.echelon``, keyed by
+packed monomial, takes the input to the reduced row echelon form of its
 linear span: monic rows with distinct leading monomials, no row's tail
 holding another's. Generators that share a leading monomial, or are
-multiples of one another, therefore enter the pair queue once. When the
-rows' leading monomials have more than one degree, each row is then reduced
-by the ones kept so far; a nonzero remainder is kept, and every kept row
-whose leading monomial it divides goes back on the to-do list. Rows of one
-degree skip that step: a leading monomial divides no monomial of lower
-degree, and one of its own degree only by equalling it, so they are already
-inter-reduced.
+multiples of one another, therefore enter the pair queue once.
 
 The basis then only grows, by appending. Two structures keep the choice of
 S-pair and of divisor free of scans, each choosing exactly what a scan would
@@ -55,28 +49,29 @@ choose:
   whose lcm is grevlex-smallest, ties broken by the pair indices: the normal
   selection strategy. Between pairs of one lcm degree the tie-break is
   therefore grevlex on the lcm, then the indices.
-- Within one ``buchberger`` run, a memo maps each monomial met in a
-  reduction to the first basis index whose leading monomial divides it (or
-  None) and the basis length searched. Appending never changes the first
-  divisor once found, and a None answer is extended by searching only the
-  entries appended since, so the memo picks the same divisor as a scan from
-  the start. One memo serves the input inter-reduction, which clears it
-  whenever a generator leaves the kept list, and then the pair loop. The
-  final pass starts another, and each normal form starts an empty one.
+- A memo maps each monomial met in a reduction to the first basis index
+  whose leading monomial divides it (or None) and the basis length
+  searched. Appending never changes the first divisor once found, and a
+  None answer is extended by searching only the entries appended since, so
+  the memo picks the same divisor as a scan from the start. The pair loop
+  keeps one memo, the final pass another, and each normal form starts an
+  empty one.
 
 A remainder under construction is a dict from packed monomial to a
-coefficient that is not yet normalised: a reduction step stores the plain
-sum ``get(mm, 0) - c * gc``, which may be zero in the field. Its next term
-is the dict's largest key (packed order is grevlex, so ``max`` finds it in
-one pass at C speed), and that term is normalised once, when it is popped,
-and skipped if it is zero. Only normalised, nonzero coefficients reach the
-remainder.
+coefficient that is not yet normalised: an S-pair and a reduction step store
+plain sums such as ``get(mm, 0) - c * gc``, which may be zero in the field.
+Its next term is the dict's largest key (packed order is grevlex, so ``max``
+finds it in one pass at C speed), and that term is normalised once, when it
+is popped, and skipped if it is zero. Only normalised, nonzero coefficients
+reach the remainder.
 
-Reduced output. The final pass is ``_inter_reduce`` again, over the Groebner
-basis taken in ascending order of leading monomial, with a fresh memo; its
-docstring says why that yields the reduced basis. It is skipped when the
-rows were of one degree and no S-pair added a generator: the basis is then
-the echelon rows, already reduced and ascending.
+Reduced output. The final pass, ``_reduced_basis``, walks the Groebner basis
+in ascending order of leading monomial, drops each entry whose leading
+monomial a kept entry divides and reduces the tail of every other entry by
+the kept ones. It is skipped when the echelon rows share one degree and no
+S-pair added a generator: a leading monomial divides no monomial of lower
+degree, and one of its own degree only by equalling it, so those rows are
+already the reduced basis, in ascending order.
 
 Pairs are pruned with the standard product and chain criteria; for the chain
 criterion a pair counts as handled once it has left the queue. Output is the
@@ -144,11 +139,6 @@ def _poly(ring, terms: dict) -> Poly:
     return Poly(ring, {_unpack(m, ring.nvars): c for m, c in terms.items()})
 
 
-def _divides(a: int, b: int, guard: int) -> bool:
-    """True iff packed monomial a divides packed monomial b."""
-    return ((b | guard) - a) & guard == guard
-
-
 def _lcm(a: int, b: int, layout) -> int:
     """Packed lcm of two packed monomials, within the degree bound.
 
@@ -190,7 +180,7 @@ def _first_divisor(m: int, basis, guard: int, divisors):
     """
     index, searched = divisors.get(m, (None, 0))
     if index is None and searched < len(basis):
-        mg = m | guard   # the guard test of _divides, with m's guard bits set once
+        mg = m | guard   # the guard test, with m's guard bits set once
         for k in range(searched, len(basis)):
             if (mg - basis[k][0]) & guard == guard:
                 index = k
@@ -242,24 +232,21 @@ def normal_form(f: Poly, basis) -> Poly:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return f
-    ring = gens[0].ring
-    if f.ring != ring:
+    ring = f.ring
+    if any(g.ring != ring for g in gens):
         raise ValueError("polynomial and basis live in different rings")
     domain, layout = ring.domain, _layout(ring.nvars)
     monic = [_monic(_pack(g.terms, layout), domain) for g in gens]
     return _poly(ring, _reduce(_pack(f.terms, layout), monic, domain, layout[1], {}))
 
 
-def _s_pair(f, g, lcm: int, domain) -> dict:
-    """Packed S-polynomial of two monic (lm, tail) pairs with the given lcm."""
+def _s_pair(f, g, lcm: int) -> dict:
+    """Packed S-polynomial of two monic (lm, tail) pairs with the given lcm,
+    its coefficients not yet normalised, as in the work dict of ``_reduce``."""
     out = {lcm + d: c for d, c in f[1]}
     for d, c in g[1]:
         mm = lcm + d
-        v = domain.coerce(out.get(mm, 0) - c)
-        if v:
-            out[mm] = v
-        else:
-            out.pop(mm, None)
+        out[mm] = out.get(mm, 0) - c
     return out
 
 
@@ -273,7 +260,8 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
         raise ValueError("polynomials live in different rings")
     domain, layout = ring.domain, _layout(ring.nvars)
     f, g = _monic(_pack(f.terms, layout), domain), _monic(_pack(g.terms, layout), domain)
-    return _poly(ring, _s_pair(f, g, _lcm(f[0], g[0], layout), domain))
+    s = _s_pair(f, g, _lcm(f[0], g[0], layout))
+    return _poly(ring, _reduce(s, [], domain, layout[1], {}))   # normalises s
 
 
 def _echelon(polys, domain) -> list:
@@ -284,37 +272,25 @@ def _echelon(polys, domain) -> list:
             for lm in sorted(rows)]
 
 
-def _inter_reduce(todo: list, domain, guard: int, divisors) -> list:
-    """Monic (lm, tail) pairs spanning the same ideal as the packed term dicts
-    in todo, none of whose leading monomials divides another's.
+def _reduced_basis(basis, domain, guard: int) -> list:
+    """The reduced Groebner basis, as monic (lm, tail) pairs in ascending
+    order, of a Groebner basis given as monic (lm, tail) pairs.
 
-    divisors is the divisor memo for the returned list; it is cleared
-    whenever an entry leaves the list.
+    The entries are taken in ascending order of leading monomial:
 
-    todo is taken from the end. Given a Groebner basis sorted by descending
-    leading monomial, it takes the generators in ascending order and returns
-    the reduced Groebner basis, in ascending order and monic:
-
-    - a generator whose leading monomial a kept one divides reduces to zero.
-      A nonzero remainder would lie in the ideal with a leading monomial
-      below the generator's, so some basis element taken earlier would have
-      a leading monomial dividing it, and every one taken earlier has its
-      leading monomial divisible by a kept one;
-    - any other generator keeps its leading monomial, and its tail is fully
-      reduced by the kept ones. The tail lies below every later leading
-      monomial, so no kept entry is ever put back.
+    - an entry whose leading monomial a kept one divides is dropped. Each
+      entry dropped has its leading monomial divisible by a kept one, so the
+      kept leading monomials still generate the leading-term ideal;
+    - any other entry is kept with its tail fully reduced by the kept ones.
+      A monomial divisible by a leading monomial is no smaller than it, so
+      every basis entry whose leading monomial divides a tail monomial was
+      taken earlier, and is kept or has a kept divisor.
     """
-    kept = []
-    while todo:
-        r = _reduce(todo.pop(), kept, domain, guard, divisors)
-        if r:
-            lm, tail = _monic(r, domain)
-            back = [e for e in kept if _divides(lm, e[0], guard)]
-            if back:
-                todo.extend(_terms(e, domain) for e in back)
-                kept = [e for e in kept if not _divides(lm, e[0], guard)]
-                divisors.clear()
-            kept.append((lm, tail))
+    kept, divisors = [], {}   # divisors: the memo of _first_divisor for kept
+    for lm, tail in sorted(basis, key=operator.itemgetter(0)):
+        if _first_divisor(lm, kept, guard, divisors) is None:
+            r = _reduce({lm + d: c for d, c in tail}, kept, domain, guard, divisors)
+            kept.append((lm, [(m - lm, c) for m, c in r.items()]))
     return kept
 
 
@@ -333,9 +309,6 @@ def buchberger(gens) -> GroebnerBasis:
     basis = _echelon([_pack(g.terms, layout) for g in gens], domain)
     # rows whose leading monomials share one degree are already inter-reduced
     reduced = basis[0][0] >> layout[4] == basis[-1][0] >> layout[4]
-    if not reduced:
-        basis = _inter_reduce([_terms(e, domain) for e in reversed(basis)], domain, guard,
-                              divisors)
     size = len(basis)
     pending = set()   # every pair of basis indices not yet handled
     queue = []        # heap of (lcm, pair) of the pending pairs
@@ -353,20 +326,19 @@ def buchberger(gens) -> GroebnerBasis:
         pending.remove((i, j))
         if basis[i][0] + basis[j][0] == lcm:
             continue  # product criterion: disjoint leading terms
-        lcm_guarded = lcm | guard   # the guard test of _divides, with lcm's guard bits set once
+        lcm_guarded = lcm | guard   # the guard test, with lcm's guard bits set once
         if any((lcm_guarded - lmk) & guard == guard and k != i and k != j
                and (min(i, k), max(i, k)) not in pending
                and (min(j, k), max(j, k)) not in pending
                for k, (lmk, _) in enumerate(basis)):
             continue  # chain criterion: (i, k) and (j, k) have left the queue
-        h = _reduce(_s_pair(basis[i], basis[j], lcm, domain), basis, domain, guard, divisors)
+        h = _reduce(_s_pair(basis[i], basis[j], lcm), basis, domain, guard, divisors)
         if h:
             basis.append(_monic(h, domain))
             add_pairs(len(basis) - 1)
 
     if not reduced or len(basis) > size:
-        basis.sort(key=operator.itemgetter(0), reverse=True)   # popped in ascending order
-        basis = _inter_reduce([_terms(e, domain) for e in basis], domain, guard, {})
+        basis = _reduced_basis(basis, domain, guard)
     return GroebnerBasis(tuple(_poly(ring, _terms(e, domain)) for e in basis))
 
 

@@ -395,7 +395,10 @@ def parse_divisor(text: str) -> DivisorClass:
         token = parts[-1]
         coeff = Fraction(-1 if term[0] == "-" else 1)
         for factor in parts[:-1]:
-            coeff *= Fraction(factor)
+            try:
+                coeff *= Fraction(factor)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad coefficient {factor!r} in divisor term {term!r}") from None
         if token == "L":
             base = hyperplane_class()
         elif token.startswith("E"):

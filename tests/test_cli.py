@@ -356,14 +356,18 @@ MALFORMED_RECIPES = [
     {"kind": "twelve-nodes", "labels": [5] + NON_INVARIANT_LABELS[1:]},
     {"kind": "twelve-nodes", "labels": ["E0"]},
     {"kind": "half-even-eight", "labels": NON_INVARIANT_LABELS},
+    {"kind": "twelve-nodes", "labels": "E0"},
 ]
+# the cases whose error is about the labels field itself
+LABEL_CASES = {"labels-not-a-list", "non-string-token", "one-of-twelve-labels",
+               "twelve-of-eight-labels", "labels-a-string"}
 
 
 @pytest.mark.parametrize("recipe", MALFORMED_RECIPES,
                          ids=["empty-object", "list", "labels-not-a-list", "unknown-kind",
                               "bad-token", "non-string-token", "one-of-twelve-labels",
-                              "twelve-of-eight-labels"])
-def test_descend_malformed_recipe_is_integrity_error(tmp_path, capsys, recipe):
+                              "twelve-of-eight-labels", "labels-a-string"])
+def test_descend_malformed_recipe_is_integrity_error(tmp_path, capsys, request, recipe):
     document = json.loads(certified_certificate_path(tmp_path).read_text())
     document["body"]["recipe"] = recipe
     path = write_with_digest(tmp_path / "malformed.json", document)
@@ -371,6 +375,8 @@ def test_descend_malformed_recipe_is_integrity_error(tmp_path, capsys, recipe):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert "integrity error" in captured.err
+    if request.node.callspec.id in LABEL_CASES:
+        assert "labels" in captured.err
 
 
 def test_version_matches_package_metadata():

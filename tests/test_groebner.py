@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from ulrichcert.cohomology import section_basis
 from ulrichcert.fields import QQ, PrimeField
-from ulrichcert.groebner import (_BOUND, _divides, _echelon, _layout, _lcm, _monic, _pack,
+from ulrichcert import groebner
+from ulrichcert.groebner import (_BOUND, _echelon, _first_divisor, _layout, _lcm, _monic, _pack,
                                  _poly, _reduce, _terms, _unpack, buchberger,
                                  hilbert_degree_codim, normal_form, s_polynomial)
 from ulrichcert.kummer import all_node_points
+from ulrichcert.labels import NODE_LABELS
 from ulrichcert.linalg import rank
 from ulrichcert.polynomials import PolyRing, grevlex_key, monomial_basis, partial_derivatives
 
@@ -362,8 +364,8 @@ def test_packing_matches_exponent_tuples(monomials):
     assert _unpack(pa, n) == a and _unpack(pb, n) == b
     assert (pa < pb) == (grevlex_key(a) < grevlex_key(b))
     assert (pa == pb) == (a == b)
-    assert _divides(pa, pb, guard) == all(x <= y for x, y in zip(a, b))
-    assert _divides(pa, _packed(ac, layout), guard)
+    assert (_first_divisor(pb, [(pa, [])], guard, {}) == 0) == all(x <= y for x, y in zip(a, b))
+    assert _first_divisor(_packed(ac, layout), [(pa, [])], guard, {}) == 0
     assert pa + _packed(c, layout) == _packed(ac, layout)
     assert _lcm(pa, pb, layout) == _packed(tuple(map(max, a, b)), layout)
 
@@ -463,8 +465,8 @@ def test_seeded_point_ideals_start_from_their_cubic_slice(gf, curve):
 def test_rows_of_two_degrees_are_inter_reduced_without_an_s_pair():
     """x and y^3 + xy have coprime leading monomials, so no S-pair adds a
     generator, and the echelon form leaves the tail xy, which is not x; only
-    the input inter-reduction, run because the leading monomials have two
-    degrees, clears it."""
+    the final pass, run because the leading monomials have two degrees,
+    clears it."""
     ring = PolyRing(("x", "y"), PrimeField(101))
     x, y = ring.variable(0), ring.variable(1)
     gens = [x, y * y * y + x * y]
@@ -482,6 +484,47 @@ def test_s_polynomial_rejects_polynomials_of_different_rings():
     other = PolyRing(("x", "y"), PrimeField(103))
     with pytest.raises(ValueError, match="live in different rings"):
         s_polynomial(PolyRing(("x", "y"), PrimeField(101)).variable(0), other.variable(0))
+
+
+def test_s_polynomial_is_normalised():
+    """The tails of x + y and x + y + 2z cancel in y and leave -2z, which
+    GF(101) stores as 99z."""
+    ring = PolyRing(("x", "y", "z"), PrimeField(101))
+    x, y, z = (ring.variable(i) for i in range(3))
+    assert s_polynomial(x + y, x + y + z * 2).terms == {(0, 0, 1): 99}
+
+
+def test_normal_form_checks_the_ring_of_every_basis_element():
+    ring = PolyRing(("x", "y"), PrimeField(101))
+    x, y = ring.variable(0), ring.variable(1)
+    for other in (PolyRing(("x", "y", "z"), PrimeField(101)).variable(2),
+                  PolyRing(("x", "y"), PrimeField(103)).variable(1)):
+        with pytest.raises(ValueError, match="polynomial and basis live in different rings"):
+            normal_form(x * y + y * y, [x * x, other])
+
+
+def test_final_pass_runs_only_for_two_degrees_or_an_appended_generator(
+        gf, curve, quartic, monkeypatch):
+    """The cubics through four nodes are one degree and need no S-pair, so
+    their echelon rows are returned as they are; through six nodes an S-pair
+    appends a generator, and x, y^3 + xy and the Kummer quartic with its
+    cubic partials have two degrees, so each of those runs the final pass
+    once."""
+    calls = []
+    final_pass = groebner._reduced_basis
+    monkeypatch.setattr(groebner, "_reduced_basis",
+                        lambda *args: calls.append(args) or final_pass(*args))
+    points = all_node_points(curve, gf)
+    for k, expected in ((4, 0), (6, 1)):
+        calls.clear()
+        buchberger(section_basis(3, [points[lab] for lab in NODE_LABELS[:k]], R4))
+        assert len(calls) == expected, k
+    ring = PolyRing(("x", "y"), PrimeField(101))
+    x, y = ring.variable(0), ring.variable(1)
+    for gens in ([x, y * y * y + x * y], [quartic] + partial_derivatives(quartic)):
+        calls.clear()
+        buchberger(gens)
+        assert len(calls) == 1
 
 
 def test_appended_generator_reduces_an_earlier_tail():

@@ -217,6 +217,8 @@ def test_divisor_parser_tropes_and_fractions():
         parse_divisor("2*Q")
     with pytest.raises(ValueError):
         parse_divisor("1/2*T126")  # leaves the half-integral lattice
+    with pytest.raises(ValueError, match=r"'1/0\*L'"):
+        parse_divisor("1/0*L")
 
 
 def test_divisor_class_denominators():
