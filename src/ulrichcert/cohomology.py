@@ -26,11 +26,11 @@ from . import __version__ as TOOL_VERSION
 from .enriques import (JUSTIFICATIONS, DescentInference, EnriquesClass, chi_enriques, halve,
                        ulrich_transfer)
 from .kummer import Genus2Curve, verify_sixteen_nodes
-from .labels import NODE_LABELS, node_token, parse_node_token
+from .labels import node_token, parse_node_token
 from .linalg import kernel_basis
 from .picard import (BundleRecipe, HALF_EVEN_EIGHT, PolarizedSurfaceParams, build_theta_star,
-                     checked_recipe, chi_k3, default_even_eight_tester, format_divisor,
-                     is_invariant, pairing, polarization)
+                     checked_recipe, chi_k3, default_even_eight_tester, doubled_support,
+                     format_divisor, is_invariant, pairing, polarization)
 from .polynomials import Poly, format_polynomial, monomial_basis, power_product
 
 TOOL_NAME = "ulrichcert"
@@ -117,15 +117,6 @@ EFFECTIVITY_FAILURES = {
 }
 
 
-def _node_support(d):
-    """Node labels grouped by their nonzero doubled coefficient in d."""
-    support = {}
-    for label, c in zip(NODE_LABELS, d.doubled[1:]):
-        if c:
-            support.setdefault(c, []).append(label)
-    return {c: tuple(labels) for c, labels in support.items()}
-
-
 def _forms_through_nodes(d, points_by_label, ring, name, inferences) -> CheckRecord:
     """The check that d = aL - (nodes S) + (nodes F) has no sections.
 
@@ -133,8 +124,8 @@ def _forms_through_nodes(d, points_by_label, ring, name, inferences) -> CheckRec
     dropped; the sections of aL - (nodes S) are the degree-a forms through
     the points of S. ``inferences`` are the tags cited before these steps.
     """
-    support = _node_support(d)
-    degree, odd = divmod(d.doubled[0], 2)
+    doubled_l, support = doubled_support(d)
+    degree, odd = divmod(doubled_l, 2)
     if odd or not 0 <= degree <= 3 or not support.keys() <= {-2, 2}:
         raise UnsupportedShapeError(
             f"cannot decide effectivity of {format_divisor(d)}: not aL with 0 <= a <= 3 "
@@ -262,8 +253,8 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
 
     # Even-eight shape: M - H = half the sum of eight nodes.
     difference = m - h
-    support = _node_support(difference)
-    if difference.doubled[0] == 0 and support.keys() == {1} and len(support[1]) == 8:
+    doubled_l, support = doubled_support(difference)
+    if doubled_l == 0 and support.keys() == {1} and len(support[1]) == 8:
         halves = [node_token(l) for l in support[1]]
         divisible = default_even_eight_tester().test(support[1])
         if refuted([CheckRecord(name="even-eight-detection",

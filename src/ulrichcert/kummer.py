@@ -65,11 +65,14 @@ def _f0_bilinear(coeffs, u, v):
 
 def node_point(curve: Genus2Curve, label, domain=QQ) -> ProjectivePoint:
     """Coordinates in P^3 of the node with the given two-torsion label."""
-    label = validate_node_label(label)
+    return _node_point(curve, sextic_coefficients(curve), validate_node_label(label), domain)
+
+
+def _node_point(curve, coeffs, label, domain) -> ProjectivePoint:
+    """node_point for a validated label, given the curve's sextic coefficients."""
     if label == (0,):
         return ProjectivePoint(domain, (0, 0, 0, 1))
     i, j = label
-    coeffs = sextic_coefficients(curve)
     u, v = curve.roots[i - 1], curve.roots[j - 1]
     w = Fraction(_f0_bilinear(coeffs, u, v), 1) / (u - v) ** 2
     try:
@@ -80,7 +83,8 @@ def node_point(curve: Genus2Curve, label, domain=QQ) -> ProjectivePoint:
 
 def all_node_points(curve: Genus2Curve, domain=QQ) -> dict:
     """All sixteen labelled node points, in label order."""
-    return {label: node_point(curve, label, domain) for label in NODE_LABELS}
+    coeffs = sextic_coefficients(curve)
+    return {label: _node_point(curve, coeffs, label, domain) for label in NODE_LABELS}
 
 
 def quartic_ring(domain) -> PolyRing:
@@ -98,9 +102,12 @@ def parse_quartic(text: str, domain) -> Poly:
 
 def verify_node(quartic: Poly, point: ProjectivePoint) -> bool:
     """True iff the quartic and all four partials vanish at the point."""
-    if quartic.evaluate(point):
-        return False
-    return not any(g.evaluate(point) for g in partial_derivatives(quartic))
+    return _singular_at(quartic, partial_derivatives(quartic), point)
+
+
+def _singular_at(quartic, partials, point) -> bool:
+    """verify_node with the partials of the quartic already derived."""
+    return not quartic.evaluate(point) and not any(g.evaluate(point) for g in partials)
 
 
 @dataclass
@@ -161,11 +168,12 @@ def verify_sixteen_nodes(quartic: Poly, curve: Genus2Curve) -> NodeVerification:
             first_failure = (seen[pt], label)
             break
         seen[pt] = label
-    node_results = {label: verify_node(quartic, pt) for label, pt in points.items()}
+    partials = partial_derivatives(quartic)
+    node_results = {label: _singular_at(quartic, partials, pt) for label, pt in points.items()}
     all_singular = all(node_results.values())
     if first_failure is None and not all_singular:
         first_failure = next(lab for lab, ok in node_results.items() if not ok)
-    gb = buchberger([quartic] + partial_derivatives(quartic))
+    gb = buchberger([quartic] + partials)
     codim, degree = hilbert_degree_codim(gb)
     dims_ok = (codim, degree) == (3, 16)
     if first_failure is None and not dims_ok:

@@ -14,7 +14,10 @@ rather than assumed.
 
 Every coefficient has denominator 1 or 2, so classes are stored as doubled
 integer coordinates and the switch involution theta as the integer matrix
-2 theta; all lattice arithmetic is then exact integer arithmetic.
+2 theta; all lattice arithmetic is then exact integer arithmetic. Only this
+module reads or writes doubled coordinates: ``_doubled_class`` builds a class
+from its L value and node values, ``doubled_support`` reads them back, and
+``_integral`` is the one rule that turns an exact doubled value into an int.
 """
 from __future__ import annotations
 
@@ -37,13 +40,12 @@ _GRAM_DIAG = (4,) + (-2,) * 16
 _GRAM = tuple(tuple(g * x for x in row) for g, row in zip(_GRAM_DIAG, identity(RANK)))
 
 
-def _doubled(c) -> int:
-    if isinstance(c, int):
-        return 2 * c
-    c = Fraction(c)
-    if c.denominator not in (1, 2):
-        raise ValueError(f"coefficient {c} has denominator outside {{1, 2}}")
-    return int(2 * c)
+def _integral(doubled) -> int:
+    """An exact doubled coefficient as an int; the coefficient itself, half of
+    it, must have denominator 1 or 2."""
+    if doubled.denominator != 1:
+        raise ValueError(f"coefficient {doubled / 2} has denominator outside {{1, 2}}")
+    return int(doubled)
 
 
 class DivisorClass:
@@ -55,7 +57,7 @@ class DivisorClass:
     __slots__ = ("doubled",)
 
     def __init__(self, coeffs):
-        doubled = tuple(_doubled(c) for c in coeffs)
+        doubled = tuple(_integral(2 * Fraction(c)) for c in coeffs)
         if len(doubled) != RANK:
             raise ValueError(f"expected {RANK} coefficients")
         self.doubled = doubled
@@ -76,9 +78,7 @@ class DivisorClass:
         return DivisorClass.from_doubled(-a for a in self.doubled)
 
     def __rmul__(self, scalar):
-        if isinstance(scalar, int):
-            return DivisorClass.from_doubled(scalar * a for a in self.doubled)
-        return DivisorClass(Fraction(scalar) * Fraction(a, 2) for a in self.doubled)
+        return DivisorClass.from_doubled(_integral(Fraction(scalar) * a) for a in self.doubled)
 
     def __eq__(self, other):
         return isinstance(other, DivisorClass) and other.doubled == self.doubled
@@ -90,24 +90,41 @@ class DivisorClass:
         return f"DivisorClass({format_divisor(self)})"
 
 
+def _doubled_class(at_l, at_node=0, labels=()) -> DivisorClass:
+    """The class with doubled coordinate at_l at L, at_node at each listed
+    node and 0 at every other node."""
+    doubled = [at_l] + [0] * (RANK - 1)
+    for label in labels:
+        doubled[_INDEX[label]] = at_node
+    return DivisorClass.from_doubled(doubled)
+
+
+def doubled_support(d: DivisorClass):
+    """The inverse of ``_doubled_class``: the doubled L coordinate of d, and
+    its node labels grouped by nonzero doubled coordinate, in label order."""
+    support = {}
+    for label, c in zip(NODE_LABELS, d.doubled[1:]):
+        if c:
+            support[c] = support.get(c, ()) + (label,)
+    return d.doubled[0], support
+
+
 def zero_class() -> DivisorClass:
-    return DivisorClass((0,) * RANK)
+    return _doubled_class(0)
 
 
 def hyperplane_class() -> DivisorClass:
     """L, the pullback of the P^3 hyperplane through the quartic model."""
-    return DivisorClass((1,) + (0,) * 16)
+    return _doubled_class(2)
 
 
 def node_class(label) -> DivisorClass:
-    doubled = [0] * RANK
-    doubled[_INDEX[validate_node_label(label)]] = 2
-    return DivisorClass.from_doubled(doubled)
+    return _doubled_class(0, 2, [validate_node_label(label)])
 
 
 def polarization() -> DivisorClass:
     """H = 2L - (1/2) sum of all sixteen nodes, the degree-8 polarization."""
-    return DivisorClass.from_doubled((4,) + (-1,) * 16)
+    return _doubled_class(4, -1, NODE_LABELS)
 
 
 def pairing(a: DivisorClass, b: DivisorClass) -> Fraction:
@@ -119,16 +136,12 @@ def trope(label) -> DivisorClass:
     if label not in TROPE_LABELS:
         raise ValueError(f"invalid trope label {label!r}")
     if isinstance(label, int):
-        nodes = [(0,)] + [tuple(sorted((label, k))) for k in range(1, 7) if k != label]
+        nodes = [(0,)] + [(label, k) for k in range(1, 7) if k != label]
     else:
         i, j, _ = label
         l, m, n = (k for k in range(1, 6) if k not in (i, j))
-        pairs = ((i, 6), (j, 6), (i, j), (l, m), (m, n), (l, n))
-        nodes = [tuple(sorted(pair)) for pair in pairs]
-    doubled = [1] + [0] * 16
-    for node in nodes:
-        doubled[_INDEX[node]] = -1
-    return DivisorClass.from_doubled(doubled)
+        nodes = [(i, 6), (j, 6), (i, j), (l, m), (m, n), (l, n)]
+    return _doubled_class(1, -1, [tuple(sorted(node)) for node in nodes])
 
 
 # Node <-> trope exchange table of the switch attached to the even
@@ -170,11 +183,8 @@ class Involution:
         self.matrix = matrix
 
     def apply(self, d: DivisorClass) -> DivisorClass:
-        image = matvec(self.matrix, d.doubled)
-        odd = next((x for x in image if x % 2), None)
-        if odd is not None:
-            raise ValueError(f"coefficient {Fraction(odd, 4)} has denominator outside {{1, 2}}")
-        return DivisorClass.from_doubled(x // 2 for x in image)
+        return DivisorClass.from_doubled(
+            _integral(Fraction(x, 2)) for x in matvec(self.matrix, d.doubled))
 
 
 def build_theta_star() -> Involution:
@@ -184,7 +194,7 @@ def build_theta_star() -> Involution:
     trope. Involutivity and isometry are verified during construction, which
     doubles as a consistency check on the table itself.
     """
-    image_of_l = DivisorClass((3,) + (-1,) * 16)
+    image_of_l = _doubled_class(6, -2, NODE_LABELS)
     return Involution([image_of_l] + [trope(THETA_SWAP[label]) for label in NODE_LABELS])
 
 
@@ -240,11 +250,8 @@ class BundleRecipe:
     def divisor(self) -> DivisorClass:
         """3L minus each recipe node (twelve-nodes), or 2L minus half of each
         (half-even-eight)."""
-        doubled_l, doubled_node = (6, -2) if self.kind == TWELVE_NODES else (4, -1)
-        doubled = [doubled_l] + [0] * (RANK - 1)
-        for label in self.labels:
-            doubled[_INDEX[label]] = doubled_node
-        return DivisorClass.from_doubled(doubled)
+        at_l, at_node = (6, -2) if self.kind == TWELVE_NODES else (4, -1)
+        return _doubled_class(at_l, at_node, self.labels)
 
     def tokens(self):
         return tuple(node_token(l) for l in self.labels)
@@ -281,14 +288,6 @@ def default_picard_generators():
     return gens
 
 
-def _half_node_sum(labels):
-    """Doubled coordinates of half the sum of the given node classes."""
-    doubled = [0] * RANK
-    for label in labels:
-        doubled[_INDEX[label]] = 1
-    return doubled
-
-
 def _f2_basis(rows):
     """A basis of the F2 span of integer rows taken mod 2, as bitmasks with
     bit k for coordinate k; the basis elements have distinct leading bits."""
@@ -316,7 +315,7 @@ class EvenEightTester:
         labels = [validate_node_label(l) for l in labels]
         if len(set(labels)) != 8:
             raise ValueError("an even-eight test needs exactly 8 distinct node labels")
-        return hnf_contains(self._hnf, self._pivots, _half_node_sum(labels))
+        return hnf_contains(self._hnf, self._pivots, _doubled_class(0, 1, labels).doubled)
 
     def sweep(self):
         """All positive 8-subsets of the sixteen node labels, in
@@ -335,7 +334,7 @@ class EvenEightTester:
                         for w in words if not w & 1 and w.bit_count() == 8)
         candidates = ([BASIS[k] for k in eight] for eight in eights)
         return [frozenset(labels) for labels in candidates
-                if hnf_contains(self._hnf, self._pivots, _half_node_sum(labels))]
+                if hnf_contains(self._hnf, self._pivots, _doubled_class(0, 1, labels).doubled)]
 
 
 @functools.cache
@@ -370,13 +369,9 @@ def incidence_table():
 
 def incidence_is_16_6(table) -> bool:
     """Every node lies on six tropes and every trope contains six nodes."""
-    for nl in NODE_LABELS:
-        if sum(table[(nl, tl)] for tl in TROPE_LABELS) != 6:
-            return False
-    for tl in TROPE_LABELS:
-        if sum(table[(nl, tl)] for nl in NODE_LABELS) != 6:
-            return False
-    return all(v in (0, 1) for v in table.values())
+    rows = [sum(table[(nl, tl)] for tl in TROPE_LABELS) for nl in NODE_LABELS]
+    columns = [sum(table[(nl, tl)] for nl in NODE_LABELS) for tl in TROPE_LABELS]
+    return set(rows + columns) == {6} and all(v in (0, 1) for v in table.values())
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +411,9 @@ def format_divisor(d: DivisorClass) -> str:
     for name, doubled in zip(BASIS, d.doubled):
         if doubled == 0:
             continue
-        c = Fraction(doubled, 2)
         token = "L" if name == "L" else node_token(name)
-        mag = abs(c)
-        body = token if mag == 1 else f"{mag}*{token}"
-        terms.append(body if c > 0 else "-" + body)
+        mag = abs(doubled)
+        coeff = str(mag // 2) if mag % 2 == 0 else f"{mag}/2"
+        body = token if mag == 2 else f"{coeff}*{token}"
+        terms.append(body if doubled > 0 else "-" + body)
     return join_terms(terms)

@@ -90,7 +90,11 @@ def test_nodes_zero_denominator_root_is_config_error(tmp_path, capsys):
     ("prime = 7\n", "malformed config file"),
     ("[surface]\nprime = 7\nprime = 11\n", "malformed config file"),
     ("[surface]\nprime = 32003.0\n", "invalid prime '32003.0'"),
-], ids=["no-section-header", "duplicate-option", "non-integer-prime"])
+    ("[surface]\nquartic = inline:X^4++Y^4\n", "cannot parse polynomial near '++Y^4'"),
+    ("[surface]\nquartic = inline:X^4+\n", "trailing garbage in polynomial: '+'"),
+    ("[surface]\nroots = 1/32003, -1, 2, -2, 3, -3\n", "curve degenerates in GF(32003)"),
+], ids=["no-section-header", "duplicate-option", "non-integer-prime", "doubled-sign",
+        "trailing-sign", "root-with-denominator-p"])
 def test_nodes_malformed_ini_is_config_error(tmp_path, capsys, text, message):
     path = tmp_path / "c.cfg"
     path.write_text(text)
@@ -185,6 +189,28 @@ def test_certify_paper_defaults_refuted_effectivity(tmp_path, capsys):
     document = json.loads(out.read_text())
     assert document["body"]["verdict"] == "refuted"
     assert document["body"]["refutation"]["reason"] == "effectivity"
+
+
+def test_certify_and_descend_along_the_certified_path(tmp_path, capsys, monkeypatch):
+    """With the quadric check stubbed to pass, the chain ends in a certified
+    verdict, and descend halves the recorded intersection numbers."""
+    from ulrichcert import cohomology
+
+    def passing_quadric_check(h, m, points_by_label, ring):
+        return cohomology.CheckRecord(
+            name="no-quadric-through-twelve-nodes",
+            justification="doubling+sections-through-nodes", inputs={},
+            value={"h0": 0, "witness": None}, passed=True)
+
+    monkeypatch.setattr(cohomology, "check_m_minus_h", passing_quadric_check)
+    out = tmp_path / "cert.json"
+    assert cli.main(["certify", "--paper-defaults", "--out", str(out)]) == cli.EXIT_OK
+    assert "verdict: certified" in capsys.readouterr().out
+    assert json.loads(out.read_text())["body"]["refutation"] is None
+    assert cli.main(["descend", str(out)]) == cli.EXIT_OK
+    stdout = capsys.readouterr().out
+    assert "H.H: 8 on the cover -> 4" in stdout
+    assert "M.M: 12 on the cover -> 6" in stdout
 
 
 def test_certify_bodies_byte_identical(tmp_path, capsys):
@@ -326,6 +352,14 @@ def test_descend_rechecks_invariance_of_certified_body(tmp_path, capsys):
     path = write_with_digest(tmp_path / "forged.json", document)
     assert cli.main(["descend", path]) == cli.EXIT_UNCERTIFIED
     assert "Ulrich" not in capsys.readouterr().out
+
+
+def test_descend_unknown_format_is_integrity_error(tmp_path, capsys):
+    document = json.loads(certified_certificate_path(tmp_path).read_text())
+    document["format"] = "ulrich-certificate/2"
+    path = write_with_digest(tmp_path / "v2.json", document)
+    assert cli.main(["descend", path]) == cli.EXIT_INTEGRITY
+    assert "unexpected format 'ulrich-certificate/2'" in capsys.readouterr().err
 
 
 def test_descend_body_without_recipe_is_integrity_error(tmp_path, capsys):

@@ -159,3 +159,28 @@ def test_summary_names_the_first_failure(quartic, curve, gf):
                                   degree=2, first_failure=("dimension", 2, 2),
                                   points=all_node_points(curve, gf))
     assert wrong_size.summary() == locus.format("FAIL", "(2, 2)") + "; sixteen nodes need (3, 16)"
+
+
+def test_per_call_work_is_done_once(quartic, curve, gf, monkeypatch):
+    """all_node_points expands the sextic once for all fifteen affine nodes,
+    and verify_sixteen_nodes derives the partials once for the node checks
+    and the singular-locus Groebner basis together."""
+    from ulrichcert import kummer
+    expected = {l: node_point(curve, l, gf) for l in NODE_LABELS}
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(kummer, "sextic_coefficients",
+                        counted("sextic", kummer.sextic_coefficients))
+    monkeypatch.setattr(kummer, "partial_derivatives",
+                        counted("partials", kummer.partial_derivatives))
+    assert all_node_points(curve, gf) == expected
+    assert calls == ["sextic"]
+    calls.clear()
+    assert verify_sixteen_nodes(quartic, curve).passed
+    assert calls == ["sextic", "partials"]

@@ -9,7 +9,7 @@ from ulrichcert.linalg import hermite_normal_form, hnf_contains
 from ulrichcert.picard import (BundleRecipe, DEFAULT_TWELVE, DivisorClass,
                                EvenEightTester, HALF_EVEN_EIGHT, Involution,
                                PolarizedSurfaceParams, chi_k3,
-                               default_picard_generators, default_recipe,
+                               default_picard_generators, default_recipe, doubled_support,
                                even_eight_test, format_divisor, hyperplane_class,
                                incidence_is_16_6, incidence_table, is_invariant,
                                node_class, numerical_ulrich, pairing, parse_divisor,
@@ -20,6 +20,8 @@ H = polarization()
 M = default_recipe().divisor()
 
 REMARK_EIGHT = ((1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6))
+
+DEFAULT_TWELVE_IN_LABEL_ORDER = tuple(l for l in NODE_LABELS if l in DEFAULT_TWELVE)
 
 # same twelve as the default recipe except E24 is traded for E25
 SWAPPED_TWELVE = tuple(l for l in DEFAULT_TWELVE if l != (2, 4)) + ((2, 5),)
@@ -202,6 +204,43 @@ def test_incidence_values():
     assert incidence_is_16_6(table)
 
 
+def _sum_preserving_swap(table):
+    """Nodes a, b and tropes s, t with (a, s), (a, t), (b, s) on and (b, t)
+    off; moving one incidence around that rectangle keeps every row and
+    column sum."""
+    for (a, b), (s, t) in itertools.product(itertools.permutations(NODE_LABELS, 2),
+                                            itertools.permutations(TROPE_LABELS, 2)):
+        if (table[(a, s)], table[(a, t)], table[(b, s)], table[(b, t)]) == (1, 1, 1, 0):
+            return a, b, s, t
+    raise AssertionError("no rectangle found")
+
+
+def _broken_tables():
+    """Incidence tables that each break one clause of the 16_6 check."""
+    table = incidence_table()
+    flipped = dict(table)
+    flipped[((1, 2), 3)] = 1  # row E12 and column T3 sum to 7
+    doubled = dict(table)
+    doubled[((0,), 1)] = 2  # row E0 sums to 7
+    first, second = NODE_LABELS[0], TROPE_LABELS[0]
+    on = next(tl for tl in TROPE_LABELS if table[(first, tl)] and tl != second)
+    off = next(tl for tl in TROPE_LABELS if not table[(first, tl)])
+    moved = dict(table)  # rows keep their sums, two columns do not
+    moved[(first, on)], moved[(first, off)] = 0, 1
+    a, b, s, t = _sum_preserving_swap(table)
+    two = dict(table)  # every row and column sums to 6, one entry is 2
+    two[(a, s)], two[(a, t)], two[(b, s)], two[(b, t)] = 2, 0, 0, 1
+    return [flipped, doubled, moved, two]
+
+
+@pytest.mark.parametrize("case", range(4),
+                         ids=["flipped-entry", "entry-two", "column-sums", "sums-kept-entry-two"])
+def test_incidence_check_rejects_broken_tables(case):
+    table = _broken_tables()[case]
+    assert table != incidence_table()
+    assert not incidence_is_16_6(table)
+
+
 def test_divisor_parser_round_trip():
     text = "3*L-E0-E16-E26-E36-E46-E56-E12-E13-E14-E15-E24-E35"
     assert parse_divisor(text) == M
@@ -219,6 +258,8 @@ def test_divisor_parser_tropes_and_fractions():
         parse_divisor("1/2*T126")  # leaves the half-integral lattice
     with pytest.raises(ValueError, match=r"'1/0\*L'"):
         parse_divisor("1/0*L")
+    with pytest.raises(ValueError, match="bad trope token 'T7'"):
+        parse_divisor("T7")
 
 
 def test_divisor_class_denominators():
@@ -241,6 +282,29 @@ def test_recipe_validation():
 
 def test_default_generator_count():
     assert len(default_picard_generators()) == 33
+
+
+@pytest.mark.parametrize("text", [
+    "0*L", "L", "3*L-E0-E16-E26-E36-E46-E56-E12-E13-E14-E15-E24-E35", "T6", "T246",
+    "2*L-1/2*E13-1/2*E14+3/2*E56", "-5/2*L+E0-E12+2*E23",
+])
+def test_doubled_support_inverts_doubled_class(text):
+    d = parse_divisor(text)
+    doubled_l, support = doubled_support(d)
+    assert 0 not in support
+    rebuilt = Fraction(doubled_l, 2) * L
+    for doubled, labels in support.items():
+        assert list(labels) == sorted(labels, key=NODE_LABELS.index)
+        rebuilt = rebuilt + sum((Fraction(doubled, 2) * node_class(l) for l in labels),
+                                zero_class())
+    assert rebuilt == d
+
+
+def test_doubled_support_of_fixed_classes():
+    assert doubled_support(H) == (4, {-1: NODE_LABELS})
+    assert doubled_support(M) == (6, {-2: DEFAULT_TWELVE_IN_LABEL_ORDER})
+    assert doubled_support(trope(6)) == (1, {-1: ((0,), (1, 6), (2, 6), (3, 6), (4, 6), (5, 6))})
+    assert doubled_support(zero_class()) == (0, {})
 
 
 def test_classes_store_doubled_integers():
