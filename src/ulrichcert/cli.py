@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .labels import (DEFAULT_PRIME, DEFAULT_ROOTS, DEFAULT_TWELVE, TWELVE_NODES, node_token,
                      parse_node_token, trope_token)
@@ -41,14 +40,17 @@ EXIT_UNCERTIFIED = 8
 EXIT_INTEGRITY = 9
 
 
-@dataclass
 class RunConfig:
-    prime: int = DEFAULT_PRIME
-    roots: tuple = DEFAULT_ROOTS
-    quartic_source: str = "corpus:kummer_quartic"
-    recipe_kind: str = TWELVE_NODES
-    recipe_labels: tuple = tuple(node_token(label) for label in DEFAULT_TWELVE)
-    out_path: str | None = None
+    def __init__(self, prime: int = DEFAULT_PRIME, roots: tuple = DEFAULT_ROOTS,
+                 quartic_source: str = "corpus:kummer_quartic", recipe_kind: str = TWELVE_NODES,
+                 recipe_labels: tuple = tuple(node_token(label) for label in DEFAULT_TWELVE),
+                 out_path: str | None = None):
+        self.prime = prime
+        self.roots = roots
+        self.quartic_source = quartic_source
+        self.recipe_kind = recipe_kind
+        self.recipe_labels = recipe_labels
+        self.out_path = out_path
 
     def curve(self):
         from .kummer import Genus2Curve

@@ -16,10 +16,7 @@ effectivity values; the verdict is ``certified`` only if every step passes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-import datetime
-import hashlib
-import json
+from collections import namedtuple
 import os
 
 from . import __version__ as TOOL_VERSION
@@ -91,21 +88,17 @@ def section_basis(d: int, points, ring) -> list:
 # Check records and effectivity through forms through the nodes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckRecord:
+class CheckRecord(namedtuple("CheckRecord", "name justification inputs value passed")):
     """One certificate step; ``justification`` is one or more whitelisted
     tags from ``enriques.JUSTIFICATIONS``, joined by ``+``."""
 
-    name: str
-    justification: str
-    inputs: dict
-    value: object
-    passed: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        for tag in self.justification.split("+"):
+    def __new__(cls, name, justification, inputs, value, passed):
+        for tag in justification.split("+"):
             if tag not in JUSTIFICATIONS:
-                raise ValueError(f"unknown justification tag {tag!r} in check {self.name!r}")
+                raise ValueError(f"unknown justification tag {tag!r} in check {name!r}")
+        return super().__new__(cls, name, justification, inputs, value, passed)
 
 
 # what a failed effectivity check shows, quoted in the refutation witness
@@ -159,18 +152,24 @@ def check_m_minus_h(h, m, points_by_label, ring) -> CheckRecord:
 # Certificate assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
 class UlrichCertificate:
-    prime: int | None
-    roots: tuple
-    quartic_text: str
-    recipe: BundleRecipe
-    s: int
-    node_summary: dict
-    checks: list = field(default_factory=list)
-    verdict: str = "refuted"
-    refutation_reason: str | None = None
-    refutation_witness: dict | None = None
+    """The checks run on one surface and recipe, and the verdict they give;
+    ``certify_ulrich`` appends to ``checks`` and sets the verdict."""
+
+    def __init__(self, prime: int | None, roots: tuple, quartic_text: str,
+                 recipe: BundleRecipe, s: int, node_summary: dict, checks=(),
+                 verdict: str = "refuted", refutation_reason: str | None = None,
+                 refutation_witness: dict | None = None):
+        self.prime = prime
+        self.roots = roots
+        self.quartic_text = quartic_text
+        self.recipe = recipe
+        self.s = s
+        self.node_summary = node_summary
+        self.checks = list(checks)
+        self.verdict = verdict
+        self.refutation_reason = refutation_reason
+        self.refutation_witness = refutation_witness
 
     def check(self, name: str) -> CheckRecord:
         for record in self.checks:
@@ -291,11 +290,16 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
 # Serialization
 # ---------------------------------------------------------------------------
 
+# json, hashlib (which maps OpenSSL) and datetime are imported on use, so a
+# process that writes and reads no document does not load them
+
 def _canonical(obj) -> str:
+    import json
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _digest(obj) -> str:
+    import hashlib
     return hashlib.sha256(_canonical(obj).encode()).hexdigest()
 
 
@@ -330,6 +334,7 @@ def certificate_body(cert: UlrichCertificate) -> dict:
 
 def _document(fmt: str, body: dict) -> dict:
     """A serialized document: format, detachable header, body and its digest."""
+    import datetime
     return {
         "format": fmt,
         "header": {
@@ -352,6 +357,7 @@ def write_json_atomic(path, document: dict):
     mode that ``open(path, "w")`` gives a new file. An ``OSError`` names
     ``path``, not the temp file, and leaves no temp file.
     """
+    import json
     path = os.fspath(path)
     candidate = os.path.join(os.path.dirname(path) or ".", f"tmp{os.urandom(8).hex()}.tmp")
     tmp = None
@@ -377,6 +383,7 @@ def write_certificate(path, cert: UlrichCertificate) -> dict:
 
 
 def load_certificate_document(path) -> dict:
+    import json
     with open(path) as handle:
         try:
             document = json.load(handle)
@@ -398,15 +405,9 @@ def load_certificate_document(path) -> dict:
 # Descent to the quotient surface
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EnriquesReport:
-    classes: tuple
-    chi_polarization: int
-    h0_polarization: int
-    plane_cover_degree: int
-    halving: tuple
-    inferences: tuple
-    conclusion: str
+class EnriquesReport(namedtuple("EnriquesReport", "classes chi_polarization h0_polarization "
+                                                 "plane_cover_degree halving inferences conclusion")):
+    __slots__ = ()
 
 
 def descend_to_enriques(cert: UlrichCertificate) -> EnriquesReport:

@@ -10,7 +10,7 @@ steps were computed and which were cited.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Identifiers for the justification of each certificate step: either a
 # direct exact computation or a cited inference rule.
@@ -53,24 +53,19 @@ JUSTIFICATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class DescentInference:
-    premise: str
-    conclusion: str
-    justification: str
+class DescentInference(namedtuple("DescentInference", "premise conclusion justification")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.justification not in JUSTIFICATIONS:
-            raise ValueError(f"unknown justification {self.justification!r}")
+    def __new__(cls, premise, conclusion, justification):
+        if justification not in JUSTIFICATIONS:
+            raise ValueError(f"unknown justification {justification!r}")
+        return super().__new__(cls, premise, conclusion, justification)
 
 
-@dataclass(frozen=True)
-class EnriquesClass:
+class EnriquesClass(namedtuple("EnriquesClass", "name self_intersection dot_with_h")):
     """Numerical shadow of a class on the quotient surface."""
 
-    name: str
-    self_intersection: int
-    dot_with_h: int
+    __slots__ = ()
 
 
 def halve(x_pairing: int) -> int:

@@ -80,7 +80,7 @@ result is independent of generator order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 import functools
 from heapq import heappop, heappush
 import itertools
@@ -214,9 +214,8 @@ def _reduce(f: dict, basis, domain, guard: int, divisors) -> dict:
     return remainder
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    generators: tuple
+class GroebnerBasis(namedtuple("GroebnerBasis", "generators")):
+    __slots__ = ()
 
     @property
     def ring(self):

@@ -16,8 +16,9 @@ codimension 3 and degree 16.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import corpus
 from .fields import QQ, PrimeField
@@ -29,19 +30,18 @@ from .polynomials import Poly, PolyRing, ProjectivePoint, parse_polynomial, part
 QUARTIC_VARIABLES = ("X", "Y", "Z", "W")
 
 
-@dataclass(frozen=True)
-class Genus2Curve:
+class Genus2Curve(namedtuple("Genus2Curve", "roots")):
     """Six distinct Weierstrass x-coordinates, kept as exact rationals."""
 
-    roots: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        roots = tuple(Fraction(r) for r in self.roots)
-        object.__setattr__(self, "roots", roots)
+    def __new__(cls, roots):
+        roots = tuple(Fraction(r) for r in roots)
         if len(roots) != 6:
             raise ValueError("exactly six Weierstrass roots are required")
         if len(set(roots)) != 6:
             raise ValueError("Weierstrass roots must be pairwise distinct")
+        return super().__new__(cls, roots)
 
 
 def sextic_coefficients(curve: Genus2Curve):
@@ -110,17 +110,18 @@ def _singular_at(quartic, partials, point) -> bool:
     return not quartic.evaluate(point) and not any(g.evaluate(point) for g in partials)
 
 
-@dataclass
-class NodeVerification:
-    """Evidence bundle for the sixteen-nodes check."""
+class NodeVerification(namedtuple(
+        "NodeVerification", "passed distinct node_results codim degree first_failure points",
+        defaults=(None, MappingProxyType({})))):
+    """Evidence bundle for the sixteen-nodes check.
 
-    passed: bool
-    distinct: bool
-    node_results: dict                 # label -> bool
-    codim: int
-    degree: int
-    first_failure: object = None       # first failing label or colliding pair
-    points: dict = field(default_factory=dict)
+    ``node_results`` maps each label to whether its point is singular, and
+    ``first_failure`` is the first failing label or colliding pair. The
+    default ``points`` is a read-only empty mapping, so no two records share
+    a mutable dict.
+    """
+
+    __slots__ = ()
 
     def evidence(self) -> dict:
         """The verdict and singular-locus numbers, as written to certificates

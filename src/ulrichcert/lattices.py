@@ -8,22 +8,20 @@ independent invariant recomputed from scratch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import corpus
 from .linalg import (check_scaled_involution, determinant, integer_kernel, matmul, matvec,
                      signature, transpose)
 
 
-@dataclass(frozen=True)
-class LatticeGram:
+class LatticeGram(namedtuple("LatticeGram", "gram")):
     """An integral symmetric bilinear form on Z^n, given by its Gram matrix."""
 
-    gram: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", gram)
+    def __new__(cls, gram):
+        gram = tuple(tuple(int(x) for x in row) for row in gram)
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix is not square")
@@ -31,6 +29,7 @@ class LatticeGram:
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("gram matrix is not symmetric")
+        return super().__new__(cls, gram)
 
     @property
     def rank(self) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import math
+import operator
 
 
 def echelon(rows, domain) -> dict:
@@ -99,11 +100,11 @@ def transpose(m):
 
 def matmul(a, b):
     bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a)
 
 
 def matvec(m, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(operator.mul, row, v)) for row in m)
 
 
 # ---------------------------------------------------------------------------

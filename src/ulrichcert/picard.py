@@ -21,7 +21,7 @@ from its L value and node values, ``doubled_support`` reads them back, and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 import functools
 
@@ -208,15 +208,15 @@ def chi_k3(d: DivisorClass) -> Fraction:
     return 2 + pairing(d, d) / 2
 
 
-@dataclass(frozen=True)
-class PolarizedSurfaceParams:
+class PolarizedSurfaceParams(namedtuple("PolarizedSurfaceParams", "s")):
     """Degree parameter s with H^2 = 2s; the reference surface has s = 4."""
 
-    s: int = 4
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.s < 1:
+    def __new__(cls, s=4):
+        if s < 1:
             raise ValueError("s must be a positive integer")
+        return super().__new__(cls, s)
 
 
 def numerical_ulrich(params: PolarizedSurfaceParams, h: DivisorClass,
@@ -232,20 +232,18 @@ def numerical_ulrich(params: PolarizedSurfaceParams, h: DivisorClass,
 # Bundle recipes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BundleRecipe:
+class BundleRecipe(namedtuple("BundleRecipe", "kind labels")):
     """How to build the candidate class M from L and node classes."""
 
-    kind: str = TWELVE_NODES
-    labels: tuple = DEFAULT_TWELVE
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (TWELVE_NODES, HALF_EVEN_EIGHT):
-            raise ValueError(f"unknown recipe kind {self.kind!r}")
-        labels = tuple(validate_node_label(l) for l in self.labels)
+    def __new__(cls, kind=TWELVE_NODES, labels=DEFAULT_TWELVE):
+        if kind not in (TWELVE_NODES, HALF_EVEN_EIGHT):
+            raise ValueError(f"unknown recipe kind {kind!r}")
+        labels = tuple(validate_node_label(l) for l in labels)
         if len(set(labels)) != len(labels):
             raise ValueError("recipe labels must be distinct")
-        object.__setattr__(self, "labels", labels)
+        return super().__new__(cls, kind, labels)
 
     def divisor(self) -> DivisorClass:
         """3L minus each recipe node (twelve-nodes), or 2L minus half of each

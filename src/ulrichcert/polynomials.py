@@ -8,7 +8,7 @@ highest-precedence variable first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 import itertools
 import math
 import re
@@ -23,12 +23,10 @@ def grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(namedtuple("PolyRing", "variables domain")):
     """Variable names plus a scalar domain."""
 
-    variables: tuple
-    domain: object
+    __slots__ = ()
 
     @property
     def nvars(self) -> int:

@@ -421,38 +421,64 @@ def test_version_matches_package_metadata():
 
 LAYERS = {"cohomology", "kummer", "groebner", "polynomials", "picard", "lattices", "fields"}
 CERTIFY_CHAIN = {"kummer", "groebner", "polynomials", "cohomology"}
+# stdlib modules that only writing or reading a document needs; dataclasses
+# is used nowhere
+SERIALIZATION = {"dataclasses", "hashlib", "json", "datetime"}
 
 
-def modules_loaded_by(argv):
-    """The ``ulrichcert`` layers a fresh interpreter has loaded after importing
-    ``ulrichcert.cli`` and, when ``argv`` is given, running that command."""
+def modules_loaded_by(argv, module="ulrichcert.cli"):
+    """Exit status and the modules a fresh interpreter adds to ``sys.modules``
+    by importing ``module`` and, when ``argv`` is given, running that command
+    through ``ulrichcert.cli``. Modules that start-up had already loaded do not
+    count, and the layers of ``ulrichcert`` are named without the package."""
     probe = ("import io, contextlib, sys\n"
+             "before = set(sys.modules)\n"
+             f"import {module}\n"
              "import ulrichcert.cli as cli\n"
              f"argv = {argv!r}\n"
+             "status = None\n"
              "if argv is not None:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
-             "        assert cli.main(argv) == cli.EXIT_OK\n"
-             "print(' '.join(m.split('.', 1)[1] for m in sys.modules\n"
-             "               if m.startswith('ulrichcert.')))\n")
+             "        status = cli.main(argv)\n"
+             "print(status, *(m.removeprefix('ulrichcert.') for m in set(sys.modules) - before))\n")
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    return set(run.stdout.split())
+    status, *loaded = run.stdout.split()
+    return (None if status == "None" else int(status)), set(loaded)
 
 
 @pytest.mark.parametrize("argv, needed, absent", [
-    (None, set(), LAYERS),
-    (["lattice", "horikawa"], {"lattices"}, {"picard"} | CERTIFY_CHAIN),
-    (["lattice", "theta-check"], {"picard"}, CERTIFY_CHAIN),
-    (["lattice", "incidence"], {"picard"}, CERTIFY_CHAIN),
-    (["lattice", "even-eights"], {"picard"}, CERTIFY_CHAIN),
-    (["nodes", "--paper-defaults"], {"kummer", "fields", "linalg"}, {"cohomology", "picard"}),
+    (None, set(), LAYERS | SERIALIZATION),
+    (["lattice", "horikawa"], {"lattices"}, {"picard"} | CERTIFY_CHAIN | SERIALIZATION),
+    (["lattice", "theta-check"], {"picard"}, CERTIFY_CHAIN | SERIALIZATION),
+    (["lattice", "incidence"], {"picard"}, CERTIFY_CHAIN | SERIALIZATION),
+    (["lattice", "even-eights"], {"picard"}, CERTIFY_CHAIN | SERIALIZATION),
+    (["nodes", "--paper-defaults"], {"kummer", "fields", "linalg"},
+     {"cohomology", "picard"} | SERIALIZATION),
 ], ids=["import", "horikawa", "theta-check", "incidence", "even-eights", "nodes"])
 def test_each_command_imports_only_its_layers(argv, needed, absent):
-    loaded = modules_loaded_by(argv)
+    status, loaded = modules_loaded_by(argv)
+    assert status == (None if argv is None else cli.EXIT_OK)
     assert needed <= loaded
     assert not loaded & absent, sorted(loaded & absent)
+
+
+@pytest.mark.parametrize("layer", ["cohomology", "kummer", "picard", "lattices", "cli"])
+def test_layers_import_no_serialization_modules(layer):
+    _, loaded = modules_loaded_by(None, f"ulrichcert.{layer}")
+    assert layer in loaded
+    assert not loaded & SERIALIZATION, sorted(loaded & SERIALIZATION)
+
+
+def test_certify_loads_what_writing_its_document_needs(tmp_path):
+    """The digests and the timestamp are computed, not skipped."""
+    status, loaded = modules_loaded_by(
+        ["certify", "--paper-defaults", "--out", str(tmp_path / "cert.json")])
+    assert status == cli.EXIT_EFFECTIVITY
+    assert {"cohomology", "hashlib", "json", "datetime"} <= loaded
+    assert "dataclasses" not in loaded
 
 
 def test_package_exports_resolve_lazily():

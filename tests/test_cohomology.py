@@ -387,9 +387,12 @@ def test_descend_in_memory_checks_the_recipe(curve, quartic):
 def test_check_record_rejects_unknown_justification_tag():
     CheckRecord(name="x", justification="doubling+finite-field-model", inputs={},
                 value=None, passed=True)
-    with pytest.raises(ValueError, match="'no-such-tag'"):
+    with pytest.raises(ValueError,
+                       match="^unknown justification tag 'no-such-tag' in check 'x'$"):
         CheckRecord(name="x", justification="doubling+no-such-tag", inputs={},
                     value=None, passed=True)
+    with pytest.raises(ValueError, match="^unknown justification tag '' in check 'y'$"):
+        CheckRecord("y", "doubling+", {}, None, True)
 
 
 def test_descend_report_numbers(curve, quartic):

@@ -39,8 +39,10 @@ def test_transfer_chain_complete():
 
 
 def test_inference_justifications_whitelisted():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown justification 'made-up-rule'$"):
         DescentInference("p", "c", "made-up-rule")
+    with pytest.raises(ValueError, match="^unknown justification 'made-up-rule'$"):
+        DescentInference(premise="p", conclusion="c", justification="made-up-rule")
     for key in JUSTIFICATIONS:
         DescentInference("p", "c", key)
 

@@ -46,10 +46,12 @@ def test_sextic_constant_term_vanishes_with_zero_root():
 
 
 def test_repeated_roots_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Weierstrass roots must be pairwise distinct$"):
         Genus2Curve((1, 1, 2, 3, 4, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exactly six Weierstrass roots are required$"):
         Genus2Curve((1, 2, 3))
+    with pytest.raises(ValueError, match="^Weierstrass roots must be pairwise distinct$"):
+        Genus2Curve(roots=(1, Fraction(2, 2), 2, 3, 4, 5))
 
 
 def test_published_node_coordinates(curve):

@@ -142,10 +142,10 @@ def test_u2_e8m2_model_invariants():
 
 
 def test_gram_validation():
-    with pytest.raises(ValueError):
-        LatticeGram(((0, 1), (2, 0)))  # not symmetric
-    with pytest.raises(ValueError):
-        LatticeGram(((0, 1),))  # not square
+    with pytest.raises(ValueError, match="^gram matrix is not symmetric$"):
+        LatticeGram(((0, 1), (2, 0)))
+    with pytest.raises(ValueError, match="^gram matrix is not square$"):
+        LatticeGram(gram=((0, 1),))
 
 
 def test_primitivity_detects_index_two():

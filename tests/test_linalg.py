@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ulrichcert.fields import QQ, PrimeField
 from ulrichcert.linalg import (check_scaled_involution, determinant, echelon,
                                hermite_normal_form, hnf_contains, integer_kernel, kernel_basis,
-                               rank, signature)
+                               matmul, matvec, rank, signature)
 
 GF = PrimeField(32003)
 GF5 = PrimeField(5)
@@ -49,6 +49,34 @@ def test_kernel_vectors_annihilate(rows):
     for vec in kernel_basis(rows, 4, QQ):
         for row in rows:
             assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b, v): an n x k and a k x m matrix and a k-vector, all int or all
+    Fraction entries."""
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    entry = draw(st.sampled_from([st.integers(-50, 50),
+                                  st.fractions(min_value=-9, max_value=9, max_denominator=7)]))
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=k, max_size=k))
+    v = draw(st.lists(entry, min_size=k, max_size=k))
+    return a, b, v
+
+
+@given(product_operands())
+def test_matmul_and_matvec_match_triple_loop(operands):
+    a, b, v = operands
+    n, k, m = len(a), len(b), len(b[0])
+    product = [[0] * m for _ in range(n)]
+    image = [0] * n
+    for i in range(n):
+        for j in range(k):
+            image[i] += a[i][j] * v[j]
+            for c in range(m):
+                product[i][c] += a[i][j] * b[j][c]
+    assert matmul(a, b) == tuple(map(tuple, product))
+    assert matvec(a, v) == tuple(image)
 
 
 @st.composite

@@ -136,6 +136,9 @@ def test_numerical_ulrich():
     assert numerical_ulrich(params, H, remark_m)
     with pytest.raises(ValueError):
         numerical_ulrich(PolarizedSurfaceParams(3), H, M)
+    for s in (0, -4):
+        with pytest.raises(ValueError, match="^s must be a positive integer$"):
+            PolarizedSurfaceParams(s=s)
 
 
 def test_even_eight_positive_example():
@@ -270,10 +273,12 @@ def test_divisor_class_denominators():
 
 
 def test_recipe_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown recipe kind 'unknown'$"):
         BundleRecipe(kind="unknown")
-    with pytest.raises(ValueError):
-        BundleRecipe(labels=DEFAULT_TWELVE + ((1, 2),))  # duplicate
+    with pytest.raises(ValueError, match="^recipe labels must be distinct$"):
+        BundleRecipe(labels=DEFAULT_TWELVE + ((2, 1),))
+    with pytest.raises(ValueError, match=r"^invalid node label \(1, 1\)$"):
+        BundleRecipe(HALF_EVEN_EIGHT, ((1, 1),))
     half = BundleRecipe(kind=HALF_EVEN_EIGHT, labels=REMARK_EIGHT)
     expected = 2 * L - Fraction(1, 2) * sum(
         (node_class(l) for l in REMARK_EIGHT), zero_class())
