@@ -33,3 +33,13 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
     globals()[name] = value
     return value
+
+
+def _checked_make(cls, iterable):
+    """A namedtuple record's ``_make``, built through ``cls(...)`` so that
+    ``_make`` and ``_replace`` (which calls ``_make``) run the record's
+    validation; set as ``_make = classmethod(_checked_make)``."""
+    values = tuple(iterable)
+    if len(values) != len(cls._fields):
+        raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+    return cls(*values)

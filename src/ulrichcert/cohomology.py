@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 import os
 
-from . import __version__ as TOOL_VERSION
+from . import __version__ as TOOL_VERSION, _checked_make
 from .enriques import (JUSTIFICATIONS, DescentInference, EnriquesClass, chi_enriques, halve,
                        ulrich_transfer)
 from .kummer import Genus2Curve, verify_sixteen_nodes
@@ -93,6 +93,7 @@ class CheckRecord(namedtuple("CheckRecord", "name justification inputs value pas
     tags from ``enriques.JUSTIFICATIONS``, joined by ``+``."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, name, justification, inputs, value, passed):
         for tag in justification.split("+"):

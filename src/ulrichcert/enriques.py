@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import _checked_make
+
 # Identifiers for the justification of each certificate step: either a
 # direct exact computation or a cited inference rule.
 JUSTIFICATIONS = {
@@ -55,6 +57,7 @@ JUSTIFICATIONS = {
 
 class DescentInference(namedtuple("DescentInference", "premise conclusion justification")):
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, premise, conclusion, justification):
         if justification not in JUSTIFICATIONS:

@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from types import MappingProxyType
 
-from . import corpus
+from . import _checked_make, corpus
 from .fields import QQ, PrimeField
 from .groebner import buchberger, hilbert_degree_codim
 from .labels import (DEFAULT_PRIME, DEFAULT_ROOTS, NODE_LABELS, node_token,
@@ -34,6 +34,7 @@ class Genus2Curve(namedtuple("Genus2Curve", "roots")):
     """Six distinct Weierstrass x-coordinates, kept as exact rationals."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, roots):
         roots = tuple(Fraction(r) for r in roots)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import corpus
+from . import _checked_make, corpus
 from .linalg import (check_scaled_involution, determinant, integer_kernel, matmul, matvec,
                      signature, transpose)
 
@@ -19,6 +19,7 @@ class LatticeGram(namedtuple("LatticeGram", "gram")):
     """An integral symmetric bilinear form on Z^n, given by its Gram matrix."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, gram):
         gram = tuple(tuple(int(x) for x in row) for row in gram)

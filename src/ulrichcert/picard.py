@@ -25,6 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 import functools
 
+from . import _checked_make
 from .labels import (DEFAULT_TWELVE, HALF_EVEN_EIGHT, NODE_LABELS, TROPE_LABELS, TWELVE_NODES,
                      join_terms, node_token, parse_node_token, parse_trope_token, split_terms,
                      validate_node_label)
@@ -212,6 +213,7 @@ class PolarizedSurfaceParams(namedtuple("PolarizedSurfaceParams", "s")):
     """Degree parameter s with H^2 = 2s; the reference surface has s = 4."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, s=4):
         if s < 1:
@@ -236,6 +238,7 @@ class BundleRecipe(namedtuple("BundleRecipe", "kind labels")):
     """How to build the candidate class M from L and node classes."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, kind=TWELVE_NODES, labels=DEFAULT_TWELVE):
         if kind not in (TWELVE_NODES, HALF_EVEN_EIGHT):

@@ -20,7 +20,7 @@ Monomial = tuple
 
 def grevlex_key(m: Monomial):
     """Sort key under which max() picks the grevlex-largest monomial."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple([-e for e in reversed(m)]))
 
 
 class PolyRing(namedtuple("PolyRing", "variables domain")):
@@ -39,7 +39,7 @@ class PolyRing(namedtuple("PolyRing", "variables domain")):
         out = {}
         nvars, coerce = self.nvars, self.domain.coerce
         for mon, coeff in terms:
-            mon = tuple(map(int, mon))
+            mon = tuple([int(e) for e in mon])
             if len(mon) != nvars or (mon and min(mon) < 0):
                 raise ValueError(f"bad exponent tuple {mon}")
             out[mon] = coerce(out.get(mon, 0) + coeff)
@@ -109,7 +109,7 @@ class Poly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple([a + b for a, b in zip(m1, m2)])
                 out[m] = dom.coerce(out.get(m, 0) + c1 * c2)
         return Poly(self.ring, {m: c for m, c in out.items() if c})
 
@@ -170,7 +170,7 @@ class ProjectivePoint:
             raise ValueError("all coordinates are zero")
         inv = domain.inv(lead)
         self.domain = domain
-        self.coordinates = tuple(domain.coerce(inv * x) for x in coords)
+        self.coordinates = tuple([domain.coerce(inv * x) for x in coords])
 
     def __eq__(self, other):
         return (isinstance(other, ProjectivePoint) and other.domain == self.domain

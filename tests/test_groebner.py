@@ -1,6 +1,11 @@
 from fractions import Fraction
 import itertools
+import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from ulrichcert.cohomology import section_basis
 from ulrichcert.fields import QQ, PrimeField
 from ulrichcert import groebner
-from ulrichcert.groebner import (_BOUND, _echelon, _first_divisor, _layout, _lcm, _monic, _pack,
-                                 _poly, _reduce, _terms, _unpack, buchberger,
+from ulrichcert.groebner import (_BOUND, GroebnerBasis, _echelon, _first_divisor,
+                                 _hilbert_numerator, _k_numerator, _layout, _lcm, _minimalize,
+                                 _monic, _pack, _poly, _reduce, _terms, _unpack, buchberger,
                                  hilbert_degree_codim, normal_form, s_polynomial)
 from ulrichcert.kummer import all_node_points
 from ulrichcert.labels import NODE_LABELS
@@ -99,6 +105,88 @@ def test_singular_locus_codim_and_degree(quartic):
     gens = [quartic] + partial_derivatives(quartic)
     gb = buchberger(gens)
     assert hilbert_degree_codim(gb) == (3, 16)
+
+
+def test_empty_groebner_basis_is_rejected():
+    with pytest.raises(ValueError, match="no generators"):
+        hilbert_degree_codim(GroebnerBasis(()))
+
+
+@st.composite
+def monomial_ideals(draw):
+    """A variable count from 2 to 4 and up to six monomials in that many
+    variables, each exponent at most 3."""
+    nvars = draw(st.integers(2, 4))
+    return nvars, draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), max_size=6))
+
+
+@given(monomial_ideals())
+def test_hilbert_numerator_counts_standard_monomials(ideal):
+    """N(t)/(1-t)^n, expanded, counts the monomials of each degree 0..8 that
+    no generator divides, both from a fresh subproblem memo and from the
+    per-ideal cache."""
+    nvars, mons = ideal
+    lts = _minimalize(mons)
+    memo = {}
+    numerator = _k_numerator(lts, memo)
+    assert _hilbert_numerator(lts) == numerator == _k_numerator(lts, memo)
+    for d in range(9):
+        series = sum(c * math.comb(d - j + nvars - 1, nvars - 1) for j, c in numerator if j <= d)
+        standard = sum(not any(all(a <= b for a, b in zip(g, m)) for g in mons)
+                       for m in monomial_basis(d, nvars))
+        assert series == standard
+
+
+def test_seeded_point_ideals_have_codim_three_and_degree_k(gf, curve):
+    """280 vanishing ideals of 4 to 10 nodes, cut out by cubics (seed 11),
+    give (3, k), and the numerator cache keeps one entry per leading-term
+    ideal."""
+    points = all_node_points(curve, gf)
+    labels = list(points)
+    rng = random.Random(11)
+    _hilbert_numerator.cache_clear()
+    ideals = set()
+    for k in range(4, 11):
+        for _ in range(40):
+            gb = buchberger(section_basis(3, [points[lab] for lab in rng.sample(labels, k)], R4))
+            assert hilbert_degree_codim(gb) == (3, k)
+            ideals.add(_minimalize(gb.leading_monomials()))
+    assert _hilbert_numerator.cache_info().currsize == len(ideals)
+
+
+FLAT_MEMORY_PROBE = """
+import sys
+from ulrichcert.cohomology import section_basis
+from ulrichcert.fields import PrimeField
+from ulrichcert.groebner import buchberger, hilbert_degree_codim
+from ulrichcert.kummer import all_node_points, default_curve, quartic_ring
+gf = PrimeField(32003)
+points = list(all_node_points(default_curve(), gf).values())
+ring = quartic_ring(gf)
+subsets = [points[:k] for k in range(4, 11)] + [points[-k:] for k in range(4, 11)]
+def one_round():
+    for pts in subsets:
+        assert hilbert_degree_codim(buchberger(section_basis(3, pts, ring))) == (3, len(pts))
+for _ in range(20):
+    one_round()
+before = sys.getallocatedblocks()
+for _ in range(100):
+    one_round()
+print(sys.getallocatedblocks() - before)
+"""
+
+
+def test_point_ideal_memory_stays_flat():
+    """A long run of point ideals holds no more memory blocks after warm-up:
+    no tuple built per op lands on a free list it is never taken from, and
+    the Hilbert cache is full after the first round. Run in a fresh process,
+    so that the rest of the suite does not disturb the count."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", FLAT_MEMORY_PROBE],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 100
 
 
 def test_vanishing_ideal_of_node_subsets(gf, curve):

@@ -96,3 +96,29 @@ def test_mutable_records_construction():
         "refutation_reason": None, "refutation_witness": None}
     cert.verdict = "certified"
     assert cert.verdict == "certified"
+
+
+# per record that validates in __new__: a field and a value that it rejects
+REJECTED = {
+    Genus2Curve: ("roots", (1,) * 6),
+    LatticeGram: ("gram", ((0, 1), (2, 0))),
+    PolarizedSurfaceParams: ("s", 0),
+    BundleRecipe: ("kind", "bogus"),
+    GroebnerBasis: ("generators", ()),
+    DescentInference: ("justification", "bogus"),
+    CheckRecord: ("justification", "bogus"),
+}
+
+
+@pytest.mark.parametrize("cls", REJECTED, ids=lambda cls: cls.__name__)
+def test_make_and_replace_validate(cls):
+    args = IMMUTABLE[cls]
+    record = cls._make(iter(args))
+    assert type(record) is cls and record == cls(*args) == record._replace()
+    field, bad = REJECTED[cls]
+    with pytest.raises(ValueError):
+        record._replace(**{field: bad})
+    with pytest.raises(ValueError):
+        cls._make(bad if name == field else value for name, value in zip(cls._fields, args))
+    with pytest.raises(TypeError):
+        cls._make(args + (None,))
