@@ -1,4 +1,4 @@
-"""Access to bundled data files (the reference quartic and Gram matrices).
+"""Access to bundled data files: the reference Kummer quartic.
 
 The directory can be overridden with the ULRICHCERT_CORPUS environment
 variable, which is how tests and callers substitute their own inputs.
@@ -28,15 +28,3 @@ def read_text(name: str) -> str:
     with open(path) as handle:
         return handle.read()
 
-
-def read_integer_matrix(name: str):
-    """Parse a whitespace-separated integer matrix, one row per line."""
-    rows = []
-    for line in read_text(name).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append([int(tok) for tok in line.split()])
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError(f"corpus matrix {name!r} is empty or ragged")
-    return rows

@@ -154,6 +154,8 @@ def _unpack(m: int, nvars: int) -> tuple:
 
 def _poly(ring, terms: dict) -> Poly:
     """The polynomial of packed terms."""
+    # Not PolyRing.poly: the kernel's terms are already coerced, distinct and
+    # nonzero, and this runs for every element of every basis the kernel returns.
     return Poly(ring, {_unpack(m, ring.nvars): c for m, c in terms.items()})
 
 

@@ -139,11 +139,12 @@ class NodeVerification(namedtuple(
         return f"{line}; {self._failure_text()}"
 
     def _failure_text(self) -> str:
-        """The first failure in node tokens, e.g. 'E14 and E15 coincide mod 5'."""
+        """The first failure in node tokens, e.g. 'E14 and E15 coincide mod 5';
+        without points there is no domain to name, so no ' mod p'."""
         failure = self.first_failure
         if failure[0] == "dimension":
             return "sixteen nodes need (3, 16)"
-        domain = next(iter(self.points.values())).domain
+        domain = next((pt.domain for pt in self.points.values()), None)
         where = f" mod {domain.p}" if isinstance(domain, PrimeField) else ""
         if failure in self.node_results:
             return f"{node_token(failure)} is not a singular point of the quartic{where}"

@@ -2,15 +2,16 @@
 lattice U^3 + E8(-1)^2, and invariant sublattices of involutions, all by
 exact integer linear algebra.
 
-Gram matrices for U and E8(-1) are corpus files; every claim made about
-derived lattices (rank, determinant, signature, parity) is a convention
-independent invariant recomputed from scratch.
+The Gram matrices of U and E8(-1) are built in code, the latter from the
+Dynkin diagram in Bourbaki's node order; every claim made about derived
+lattices (rank, determinant, signature, parity) is a convention independent
+invariant recomputed from scratch.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 
-from . import _checked_make, corpus
+from . import _checked_make
 from .linalg import (check_scaled_involution, determinant, integer_kernel, matmul, matvec,
                      signature, transpose)
 
@@ -51,12 +52,20 @@ class LatticeGram(namedtuple("LatticeGram", "gram")):
         return all(x % 2 == 0 for row in self.gram for x in row)
 
 
+# the seven edges of the E8 Dynkin diagram, nodes 0..7 in Bourbaki order
+_E8_EDGES = ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
+
+
 def hyperbolic_plane() -> LatticeGram:
-    return LatticeGram(corpus.read_integer_matrix("gram_u"))
+    return LatticeGram(((0, 1), (1, 0)))
 
 
 def e8_minus() -> LatticeGram:
-    return LatticeGram(corpus.read_integer_matrix("gram_e8_neg"))
+    """The negated E8 Cartan matrix: -2 on the diagonal, 1 on each edge."""
+    gram = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for i, j in _E8_EDGES:
+        gram[i][j] = gram[j][i] = 1
+    return LatticeGram(gram)
 
 
 def direct_sum(*parts: LatticeGram) -> LatticeGram:

@@ -33,7 +33,9 @@ class PolyRing(namedtuple("PolyRing", "variables domain")):
         return len(self.variables)
 
     def poly(self, terms) -> "Poly":
-        """Build a polynomial, coercing coefficients and dropping zeros."""
+        """Build a polynomial from (monomial, coefficient) pairs: validate the
+        exponents, sum like terms, coerce and drop zeros. Every Poly operation
+        builds its result here."""
         if isinstance(terms, dict):
             terms = terms.items()
         out = {}
@@ -81,37 +83,22 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        dom = self.ring.domain
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = dom.coerce(out.get(m, 0) + c)
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return Poly(self.ring, out)
+        return self.ring.poly(itertools.chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "Poly":
-        dom = self.ring.domain
-        return Poly(self.ring, {m: dom.coerce(-c) for m, c in self.terms.items()})
+        return self.ring.poly((m, -c) for m, c in self.terms.items())
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
-        dom = self.ring.domain
         if not isinstance(other, Poly):
-            c0 = dom.coerce(other)
-            if not c0:
-                return self.ring.zero()
-            return Poly(self.ring, {m: dom.coerce(c * c0) for m, c in self.terms.items()})
+            c0 = self.ring.domain.coerce(other)
+            return self.ring.poly((m, c * c0) for m, c in self.terms.items())
         self._check(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple([a + b for a, b in zip(m1, m2)])
-                out[m] = dom.coerce(out.get(m, 0) + c1 * c2)
-        return Poly(self.ring, {m: c for m, c in out.items() if c})
+        return self.ring.poly((tuple([a + b for a, b in zip(m1, m2)]), c1 * c2)
+                              for m1, c1 in self.terms.items()
+                              for m2, c2 in other.terms.items())
 
     __rmul__ = __mul__
 
@@ -128,15 +115,8 @@ class Poly:
 
     def diff(self, var: int) -> "Poly":
         """Partial derivative with respect to variable index var."""
-        dom = self.ring.domain
-        out = {}
-        for m, c in self.terms.items():
-            e = m[var]
-            if e == 0:
-                continue
-            mm = m[:var] + (e - 1,) + m[var + 1:]
-            out[mm] = dom.coerce(out.get(mm, 0) + c * e)
-        return Poly(self.ring, {m: c for m, c in out.items() if c})
+        return self.ring.poly((m[:var] + (m[var] - 1,) + m[var + 1:], c * m[var])
+                              for m, c in self.terms.items() if m[var])
 
     def evaluate(self, point):
         """Exact value at a point (coordinates in the coefficient domain)."""

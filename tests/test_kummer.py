@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ulrichcert import cli, lattices
 from ulrichcert.fields import QQ, PrimeField
 from ulrichcert.kummer import (Genus2Curve, NodeVerification, all_node_points,
                                load_corpus_quartic, node_point, parse_quartic, sextic_coefficients,
@@ -149,6 +150,9 @@ def test_corpus_directory_override(tmp_path, monkeypatch, gf):
     assert len(load_corpus_quartic(gf).terms) == 2
     with pytest.raises(FileNotFoundError):
         load_corpus_quartic(gf, name="missing")
+    # the lattice forms are built in code, so a corpus of one quartic suffices
+    assert lattices.k3_lattice().rank == 22
+    assert cli.main(["lattice", "horikawa"]) == cli.EXIT_OK
 
 
 def test_summary_names_the_first_failure(quartic, curve, gf):
@@ -161,6 +165,12 @@ def test_summary_names_the_first_failure(quartic, curve, gf):
                                   degree=2, first_failure=("dimension", 2, 2),
                                   points=all_node_points(curve, gf))
     assert wrong_size.summary() == locus.format("FAIL", "(2, 2)") + "; sixteen nodes need (3, 16)"
+    # without points there is no field to name
+    collision = NodeVerification(False, False, {}, 3, 16, ((1, 2), (1, 3)))
+    assert collision.summary() == locus.format("FAIL", "(3, 16)") + "; E12 and E13 coincide"
+    not_singular = NodeVerification(False, True, {(1, 2): False}, 3, 1, (1, 2))
+    assert not_singular.summary() == (
+        locus.format("FAIL", "(3, 1)") + "; E12 is not a singular point of the quartic")
 
 
 def test_per_call_work_is_done_once(quartic, curve, gf, monkeypatch):

@@ -79,6 +79,21 @@ def test_partials_power_rule():
     assert all(p.is_zero() for p in parts[1:])
 
 
+def test_arithmetic_drops_zeros_in_characteristic_three():
+    """Coefficients that vanish mod p leave the polynomial, whichever
+    operation made them: a derivative's exponent factor, a scalar, a sum."""
+    ring = PolyRing(("X", "Y"), PrimeField(3))
+    f = parse_polynomial("X^3+X*Y", ring)
+    derivative = f.diff(0)
+    assert derivative == ring.variable(1)
+    assert len(derivative.terms) == 1
+    assert (f * 3).is_zero()
+    assert (f + (-f)).is_zero()
+    assert f * Fraction(1, 2) == f * 2
+    with pytest.raises(TypeError):
+        ring.zero() * "x"
+
+
 def test_all_partials_vanish_at_singular_point(quartic):
     pt = ProjectivePoint(GF, P34)
     assert all(g.evaluate(pt) == 0 for g in partial_derivatives(quartic))
