@@ -15,8 +15,8 @@ import itertools
 
 from ulrichcert.cohomology import h0_forms_through_points
 from ulrichcert.fields import PrimeField
-from ulrichcert.kummer import Genus2Curve, DEFAULT_PRIME, DEFAULT_ROOTS, all_node_points
-from ulrichcert.labels import NODE_LABELS, node_token
+from ulrichcert.kummer import Genus2Curve, DEFAULT_ROOTS, all_node_points
+from ulrichcert.labels import DEFAULT_PRIME, NODE_LABELS, node_token
 from ulrichcert.picard import (BundleRecipe, build_theta_star, is_invariant)
 
 

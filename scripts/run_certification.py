@@ -6,7 +6,8 @@ import sys
 
 from ulrichcert.cohomology import certify_ulrich, descend_to_enriques, write_certificate
 from ulrichcert.fields import PrimeField
-from ulrichcert.kummer import Genus2Curve, DEFAULT_PRIME, DEFAULT_ROOTS, load_corpus_quartic
+from ulrichcert.kummer import Genus2Curve, DEFAULT_ROOTS, load_corpus_quartic
+from ulrichcert.labels import DEFAULT_PRIME
 from ulrichcert.picard import BundleRecipe
 
 

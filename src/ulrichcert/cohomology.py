@@ -388,7 +388,7 @@ def load_certificate_document(path) -> dict:
     with open(path) as handle:
         try:
             document = json.load(handle)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:   # RecursionError: nested too deep
             raise CertificateIntegrityError(f"certificate is not JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise CertificateIntegrityError("certificate is not a JSON object")

@@ -23,8 +23,7 @@ from types import MappingProxyType
 from . import _checked_make, corpus
 from .fields import QQ, PrimeField
 from .groebner import buchberger, hilbert_degree_codim
-from .labels import (DEFAULT_PRIME, DEFAULT_ROOTS, NODE_LABELS, node_token,
-                     validate_node_label)
+from .labels import DEFAULT_ROOTS, NODE_LABELS, node_token, validate_node_label
 from .polynomials import Poly, PolyRing, ProjectivePoint, parse_polynomial, partial_derivatives
 
 QUARTIC_VARIABLES = ("X", "Y", "Z", "W")
@@ -190,6 +189,3 @@ def verify_sixteen_nodes(quartic: Poly, curve: Genus2Curve) -> NodeVerification:
 def default_curve() -> Genus2Curve:
     return Genus2Curve(DEFAULT_ROOTS)
 
-
-def default_field() -> PrimeField:
-    return PrimeField(DEFAULT_PRIME)

@@ -1,6 +1,7 @@
 """Integral lattices: U, E8(-1), direct sums, the rank-22 even unimodular
 lattice U^3 + E8(-1)^2, and invariant sublattices of involutions, all by
-exact integer linear algebra.
+exact integer linear algebra. Involutions are ``linalg.ScaledInvolution``
+records, shared with ``picard``; the swap involution here has scale 1.
 
 The Gram matrices of U and E8(-1) are built in code, the latter from the
 Dynkin diagram in Bourbaki's node order; every claim made about derived
@@ -12,8 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import _checked_make
-from .linalg import (check_scaled_involution, determinant, integer_kernel, matmul, matvec,
-                     signature, transpose)
+from .linalg import ScaledInvolution, determinant, integer_matrix, matmul, signature, transpose
 
 
 class LatticeGram(namedtuple("LatticeGram", "gram")):
@@ -23,7 +23,7 @@ class LatticeGram(namedtuple("LatticeGram", "gram")):
     _make = classmethod(_checked_make)
 
     def __new__(cls, gram):
-        gram = tuple(tuple(int(x) for x in row) for row in gram)
+        gram = integer_matrix(gram, "gram matrix")
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix is not square")
@@ -44,9 +44,6 @@ class LatticeGram(namedtuple("LatticeGram", "gram")):
 
     def signature(self):
         return signature(self.gram)
-
-    def is_even(self) -> bool:
-        return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def all_entries_even(self) -> bool:
         return all(x % 2 == 0 for row in self.gram for x in row)
@@ -88,22 +85,7 @@ def k3_lattice() -> LatticeGram:
                       e8_minus(), e8_minus())
 
 
-class LatticeInvolution:
-    """An integral involution of a lattice, checked to preserve the form."""
-
-    __slots__ = ("lattice", "matrix")
-
-    def __init__(self, lattice: LatticeGram, matrix):
-        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        check_scaled_involution(matrix, lattice.gram, 1)
-        self.lattice = lattice
-        self.matrix = matrix
-
-    def apply(self, vector):
-        return matvec(self.matrix, vector)
-
-
-def build_vartheta(lattice: LatticeGram) -> LatticeInvolution:
+def build_vartheta(lattice: LatticeGram) -> ScaledInvolution:
     """The involution v_i -> -v_i, v_i' <-> v_i'', e_i' <-> e_i'' of k3_lattice()."""
     n = lattice.rank
     if n != 22:
@@ -116,22 +98,18 @@ def build_vartheta(lattice: LatticeGram) -> LatticeInvolution:
     for k in range(8):
         m[6 + k][14 + k] = 1
         m[14 + k][6 + k] = 1
-    return LatticeInvolution(lattice, m)
+    return ScaledInvolution(m, lattice.gram)
 
 
-def invariant_sublattice(lattice: LatticeGram, inv: LatticeInvolution):
+def invariant_sublattice(lattice: LatticeGram, inv: ScaledInvolution):
     """The fixed lattice of the involution, with its restricted Gram form.
 
-    The basis is the integer kernel of (inv - id), computed through Hermite
-    normal form; kernels of integer matrices are saturated, so the result is
-    primitive in the ambient lattice by construction. Returns
-    (sublattice, basis_rows).
+    The basis is ``inv.fixed_basis()``, computed through Hermite normal form;
+    kernels of integer matrices are saturated, so the result is primitive in
+    the ambient lattice by construction. Returns (sublattice, basis_rows).
     """
-    if inv.lattice != lattice:
+    if inv.gram != lattice.gram:
         raise ValueError("involution does not act on this lattice")
-    n = lattice.rank
-    delta = [[inv.matrix[i][j] - (1 if i == j else 0) for j in range(n)]
-             for i in range(n)]
-    basis = integer_kernel(delta, n)
+    basis = inv.fixed_basis()
     gram = matmul(matmul(basis, lattice.gram), transpose(basis))
-    return LatticeGram(gram), [tuple(b) for b in basis]
+    return LatticeGram(gram), basis

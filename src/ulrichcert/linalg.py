@@ -1,6 +1,6 @@
 """Exact linear algebra: Gaussian elimination over a field domain, matrix
-products, Hermite normal form over the integers, and one congruence
-diagonalization for determinants and signatures of symmetric forms.
+products, integer Hermite normal form, ``ScaledInvolution`` for lattice
+involutions, and one congruence diagonalization for symmetric forms.
 
 Conventions, fixed so that every routine is bit-for-bit deterministic:
 
@@ -187,21 +187,48 @@ def integer_kernel(rows, ncols):
     return basis
 
 
-def check_scaled_involution(matrix, gram, k):
-    """Raise ``ValueError`` unless M M = k^2 I and M^T G M = k^2 G.
+def integer_matrix(rows, name):
+    """``rows`` as a tuple of int tuples. An entry that is not an integer
+    raises ``ValueError`` naming it, where ``int`` would truncate it."""
+    rows = tuple(map(tuple, rows))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if int(x) != x:
+                raise ValueError(f"{name} entry {x} at ({i}, {j}) is not an integer")
+    return tuple(tuple(map(int, row)) for row in rows)
 
-    These say that M / k is an involution preserving the symmetric form G;
-    an integer M with k > 1 carries an involution with fractional entries.
-    """
-    n = len(gram)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise ValueError("involution matrix has wrong shape")
-    square = k * k
-    if matmul(matrix, matrix) != tuple(tuple(square * x for x in row) for row in identity(n)):
-        raise ValueError("map is not an involution")
-    if matmul(matmul(transpose(matrix), gram), matrix) != tuple(
-            tuple(square * x for x in row) for row in gram):
-        raise ValueError("map does not preserve the intersection form")
+
+class ScaledInvolution:
+    """An involution M / k of Z^n preserving the symmetric form ``gram`` G,
+    kept as the integer ``matrix`` M and ``scale`` k; checked as M M = k^2 I
+    and M^T G M = k^2 G."""
+
+    __slots__ = ("matrix", "gram", "scale")
+
+    def __init__(self, matrix, gram, scale=1):
+        matrix = integer_matrix(matrix, "involution matrix")
+        gram = integer_matrix(gram, "gram matrix")
+        n = len(gram)
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise ValueError("involution matrix has wrong shape")
+        square = scale * scale
+        if matmul(matrix, matrix) != tuple(tuple(square * x for x in row) for row in identity(n)):
+            raise ValueError("map is not an involution")
+        if matmul(matmul(transpose(matrix), gram), matrix) != tuple(
+                tuple(square * x for x in row) for row in gram):
+            raise ValueError("map does not preserve the intersection form")
+        self.matrix, self.gram, self.scale = matrix, gram, scale
+
+    def fixes(self, v) -> bool:
+        """M v = k v, that is, the involution fixes v."""
+        return matvec(self.matrix, v) == tuple(self.scale * x for x in v)
+
+    def fixed_basis(self):
+        """A basis of the fixed sublattice: the integer kernel of M - kI. An
+        integer kernel is saturated, so the sublattice is primitive in Z^n."""
+        shifted = [[x - self.scale if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(self.matrix)]
+        return [tuple(b) for b in integer_kernel(shifted, len(shifted))]
 
 
 def _congruence_diagonal(gram):

@@ -13,8 +13,9 @@ its involution and isometry properties are asserted after construction
 rather than assumed.
 
 Every coefficient has denominator 1 or 2, so classes are stored as doubled
-integer coordinates and the switch involution theta as the integer matrix
-2 theta; all lattice arithmetic is then exact integer arithmetic. Only this
+integer coordinates and the switch involution theta as 2 theta, a
+``linalg.ScaledInvolution`` of scale 2 (``lattices`` uses the same record at
+scale 1); all lattice arithmetic is then exact integer arithmetic. Only this
 module reads or writes doubled coordinates: ``_doubled_class`` builds a class
 from its L value and node values, ``doubled_support`` reads them back, and
 ``_integral`` is the one rule that turns an exact doubled value into an int.
@@ -29,8 +30,7 @@ from . import _checked_make
 from .labels import (DEFAULT_TWELVE, HALF_EVEN_EIGHT, NODE_LABELS, TROPE_LABELS, TWELVE_NODES,
                      join_terms, node_token, parse_node_token, parse_trope_token, split_terms,
                      validate_node_label)
-from .linalg import (check_scaled_involution, hermite_normal_form, hnf_contains, identity,
-                     matvec, transpose)
+from .linalg import ScaledInvolution, hermite_normal_form, hnf_contains, identity, matvec, transpose
 
 BASIS = ("L",) + NODE_LABELS
 _INDEX = {name: k for k, name in enumerate(BASIS)}
@@ -167,21 +167,19 @@ THETA_SWAP = {
 }
 
 
-class Involution:
+class Involution(ScaledInvolution):
     """A linear involutive isometry of the Picard Q-space.
 
     ``matrix`` is A = 2 theta in the basis BASIS, an integer matrix acting on
-    doubled coordinates. theta^2 = 1 and theta^T G theta = G become the
-    integer identities A A = 4 I and A^T G A = 4 G.
+    doubled coordinates, checked as a scale-2 involution of the Gram form:
+    A A = 4 I and A^T G A = 4 G.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
 
     def __init__(self, columns):
         """columns[k] is the image of basis vector k, as a DivisorClass."""
-        matrix = transpose([c.doubled for c in columns])
-        check_scaled_involution(matrix, _GRAM, 2)
-        self.matrix = matrix
+        super().__init__(transpose([c.doubled for c in columns]), _GRAM, 2)
 
     def apply(self, d: DivisorClass) -> DivisorClass:
         return DivisorClass.from_doubled(
@@ -200,8 +198,8 @@ def build_theta_star() -> Involution:
 
 
 def is_invariant(inv: Involution, d: DivisorClass) -> bool:
-    """theta d = d, tested as A v = 2 v on the doubled coordinates v."""
-    return matvec(inv.matrix, d.doubled) == tuple(2 * x for x in d.doubled)
+    """theta d = d, tested on the doubled coordinates of d."""
+    return inv.fixes(d.doubled)
 
 
 def chi_k3(d: DivisorClass) -> Fraction:

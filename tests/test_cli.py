@@ -11,7 +11,9 @@ import pytest
 import ulrichcert
 from ulrichcert import cli, corpus
 from ulrichcert.cohomology import certify_ulrich, write_certificate
-from ulrichcert.kummer import default_curve, default_field, load_corpus_quartic
+from ulrichcert.fields import PrimeField
+from ulrichcert.kummer import default_curve, load_corpus_quartic
+from ulrichcert.labels import DEFAULT_PRIME
 
 DEFAULT_LABELS = "E0, E16, E26, E36, E46, E56, E12, E13, E14, E15, E24, E35"
 SWAPPED_LABELS = "E0, E16, E26, E36, E46, E56, E12, E13, E14, E15, E25, E35"
@@ -255,7 +257,7 @@ def test_lattice_subcommands(capsys):
 
 
 def certified_certificate_path(tmp_path):
-    cert = certify_ulrich(default_curve(), load_corpus_quartic(default_field()))
+    cert = certify_ulrich(default_curve(), load_corpus_quartic(PrimeField(DEFAULT_PRIME)))
     cert.verdict = "certified"
     cert.refutation_reason = None
     cert.refutation_witness = None
@@ -375,9 +377,13 @@ def test_descend_json_list_is_integrity_error(tmp_path, capsys):
     assert cli.main(["descend", str(path)]) == cli.EXIT_INTEGRITY
 
 
-def test_descend_non_json_is_integrity_error(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    "this is not a certificate\n",
+    "[" * 100000 + "]" * 100000,   # nested too deep for the JSON decoder
+], ids=["plain-text", "nested-array"])
+def test_descend_non_json_is_integrity_error(tmp_path, capsys, text):
     path = tmp_path / "garbage.json"
-    path.write_text("this is not a certificate\n")
+    path.write_text(text)
     assert cli.main(["descend", str(path)]) == cli.EXIT_INTEGRITY
 
 

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
-from ulrichcert.lattices import (LatticeGram, LatticeInvolution, build_vartheta,
-                                 direct_sum, e8_minus, hyperbolic_plane,
-                                 invariant_sublattice, k3_lattice)
-from ulrichcert.linalg import hermite_normal_form, hnf_contains, integer_kernel
+from ulrichcert.lattices import (LatticeGram, build_vartheta, direct_sum, e8_minus,
+                                 hyperbolic_plane, invariant_sublattice, k3_lattice)
+from ulrichcert.linalg import (ScaledInvolution, hermite_normal_form, hnf_contains,
+                               integer_kernel, matvec)
 
 
 def model_invariant_basis():
@@ -57,7 +59,7 @@ def test_hyperbolic_plane_invariants():
     assert u.rank == 2
     assert u.determinant() == -1
     assert u.signature() == (1, 1)
-    assert u.is_even()
+    assert [u.gram[i][i] for i in range(2)] == [0, 0]
 
 
 def test_e8_minus_invariants():
@@ -65,7 +67,7 @@ def test_e8_minus_invariants():
     assert e8.rank == 8
     assert e8.determinant() == 1
     assert e8.signature() == (0, 8)
-    assert e8.is_even()
+    assert [e8.gram[i][i] for i in range(8)] == [-2] * 8
 
 
 def test_direct_sum_of_two_planes():
@@ -83,7 +85,6 @@ def test_k3_lattice_invariants():
     assert lam.rank == 22
     assert lam.determinant() == -1
     assert lam.signature() == (3, 19)
-    assert lam.is_even()
     # basis order v1, v2, v1', v2', v1'', v2'', e1'..e8', e1''..e8''
     assert [lam.gram[i][i] for i in range(22)] == [0] * 6 + [-2] * 16
     assert lam.gram[0][1] == lam.gram[2][3] == lam.gram[4][5] == 1
@@ -93,9 +94,10 @@ def test_vartheta_action():
     lam = k3_lattice()
     inv = build_vartheta(lam)
     v1 = tuple(1 if i == 0 else 0 for i in range(22))
-    assert inv.apply(v1) == tuple(-1 if i == 0 else 0 for i in range(22))
+    assert matvec(inv.matrix, v1) == tuple(-1 if i == 0 else 0 for i in range(22))
     v1p = tuple(1 if i == 2 else 0 for i in range(22))
-    assert inv.apply(v1p) == tuple(1 if i == 4 else 0 for i in range(22))
+    assert matvec(inv.matrix, v1p) == tuple(1 if i == 4 else 0 for i in range(22))
+    assert not inv.fixes(v1p)
 
 
 def test_involution_construction_validates():
@@ -103,7 +105,7 @@ def test_involution_construction_validates():
     bad = [[1 if i == j else 0 for j in range(22)] for i in range(22)]
     bad[0][1] = 1  # shear: squares to I only if nilpotent part vanishes
     with pytest.raises(ValueError):
-        LatticeInvolution(lam, bad)
+        ScaledInvolution(bad, lam.gram)
 
 
 def test_invariant_sublattice_invariants():
@@ -115,7 +117,7 @@ def test_invariant_sublattice_invariants():
     assert fixed.signature() == (1, 9)
     assert fixed.all_entries_even()
     for vec in basis:
-        assert inv.apply(vec) == tuple(vec)
+        assert inv.fixes(vec)
     assert is_primitive_sublattice(basis, 22)
 
 
@@ -146,6 +148,15 @@ def test_gram_validation():
         LatticeGram(((0, 1), (2, 0)))
     with pytest.raises(ValueError, match="^gram matrix is not square$"):
         LatticeGram(gram=((0, 1),))
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 2.7])
+def test_non_integer_entries_rejected(entry):
+    tail = rf" entry {entry} at \(0, 0\) is not an integer$"
+    with pytest.raises(ValueError, match="^gram matrix" + tail):
+        LatticeGram(((entry,),))
+    with pytest.raises(ValueError, match="^involution matrix" + tail):
+        ScaledInvolution(((entry,),), ((1,),))
 
 
 def test_primitivity_detects_index_two():

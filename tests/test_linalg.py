@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulrichcert.fields import QQ, PrimeField
-from ulrichcert.linalg import (check_scaled_involution, determinant, echelon,
+from ulrichcert.linalg import (ScaledInvolution, determinant, echelon,
                                hermite_normal_form, hnf_contains, integer_kernel, kernel_basis,
                                matmul, matvec, rank, signature)
 
@@ -231,14 +231,16 @@ def test_determinant_rejects_non_symmetric():
 
 def test_scaled_involution_check():
     swap = ((0, 1), (1, 0))
-    check_scaled_involution(swap, ((0, 1), (1, 0)), 1)
-    check_scaled_involution(((0, 2), (2, 0)), ((2, 0), (0, 2)), 2)
+    ScaledInvolution(swap, ((0, 1), (1, 0)), 1)
+    doubled = ScaledInvolution(((0, 2), (2, 0)), ((2, 0), (0, 2)), 2)
+    assert doubled.fixes((1, 1)) and not doubled.fixes((1, 0))
+    assert doubled.fixed_basis() == [(1, 1)]
     with pytest.raises(ValueError, match="not an involution"):
-        check_scaled_involution(swap, ((0, 1), (1, 0)), 2)
+        ScaledInvolution(swap, ((0, 1), (1, 0)), 2)
     with pytest.raises(ValueError, match="intersection form"):
-        check_scaled_involution(swap, ((2, 0), (0, -2)), 1)
+        ScaledInvolution(swap, ((2, 0), (0, -2)), 1)
     with pytest.raises(ValueError, match="wrong shape"):
-        check_scaled_involution(((0, 1),), ((0, 1), (1, 0)), 1)
+        ScaledInvolution(((0, 1),), ((0, 1), (1, 0)), 1)
 
 
 def test_signature_examples():

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ulrichcert.labels import NODE_LABELS, TROPE_LABELS
-from ulrichcert.linalg import hermite_normal_form, hnf_contains
+from ulrichcert.fields import QQ
+from ulrichcert.linalg import hermite_normal_form, hnf_contains, rank
 from ulrichcert.picard import (BundleRecipe, DEFAULT_TWELVE, DivisorClass,
                                EvenEightTester, HALF_EVEN_EIGHT, Involution,
-                               PolarizedSurfaceParams, chi_k3,
+                               PolarizedSurfaceParams, RANK, chi_k3,
                                default_picard_generators, default_recipe, doubled_support,
                                even_eight_test, format_divisor, hyperplane_class,
                                incidence_is_16_6, incidence_table, is_invariant,
@@ -98,6 +99,15 @@ def test_invariance_of_polarization_and_candidate(theta):
     assert is_invariant(theta, H)
     assert is_invariant(theta, M)
     assert not is_invariant(theta, node_class((0,)))
+
+
+def test_theta_star_fixed_basis(theta):
+    basis = theta.fixed_basis()
+    assert theta.scale == 2
+    assert rank(basis, RANK, QQ) == len(basis) == 10
+    assert all(theta.fixes(b) for b in basis)
+    for d in (H, M):
+        assert rank(basis + [d.doubled], RANK, QQ) == 10
 
 
 def test_candidate_equals_trope_decomposition():
