@@ -26,7 +26,7 @@ import argparse
 import sys
 
 from .labels import (DEFAULT_PRIME, DEFAULT_ROOTS, DEFAULT_TWELVE, TWELVE_NODES, node_token,
-                     parse_node_token, trope_token)
+                     trope_token)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -78,8 +78,7 @@ class RunConfig:
 
     def recipe(self):
         from .picard import checked_recipe
-        return checked_recipe(self.recipe_kind,
-                              tuple(parse_node_token(tok) for tok in self.recipe_labels))
+        return checked_recipe(self.recipe_kind, self.recipe_labels)
 
 
 def load_config(path: str) -> RunConfig:

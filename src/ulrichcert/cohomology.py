@@ -23,7 +23,7 @@ from . import __version__ as TOOL_VERSION, _checked_make
 from .enriques import (JUSTIFICATIONS, DescentInference, EnriquesClass, chi_enriques, halve,
                        ulrich_transfer)
 from .kummer import Genus2Curve, verify_sixteen_nodes
-from .labels import node_token, parse_node_token
+from .labels import node_token
 from .linalg import kernel_basis
 from .picard import (BundleRecipe, HALF_EVEN_EIGHT, PolarizedSurfaceParams, build_theta_star,
                      checked_recipe, chi_k3, default_even_eight_tester, doubled_support,
@@ -429,10 +429,7 @@ def descend_from_document(document: dict) -> EnriquesReport:
         raise UncertifiedCertificateError(
             f"certificate verdict is {body.get('verdict')!r}")
     try:
-        labels = body["recipe"]["labels"]
-        if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
-            raise ValueError(f"recipe.labels is not a list of strings: {labels!r}")
-        recipe = checked_recipe(body["recipe"]["kind"], tuple(map(parse_node_token, labels)))
+        recipe = checked_recipe(body["recipe"]["kind"], body["recipe"]["labels"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateIntegrityError(
             f"certificate body has a malformed recipe: {exc!r}") from exc

@@ -13,7 +13,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import _checked_make
-from .linalg import ScaledInvolution, determinant, integer_matrix, matmul, signature, transpose
+from .linalg import (ScaledInvolution, determinant, integer_matrix, matmul, signature,
+                     symmetric_matrix, transpose)
 
 
 class LatticeGram(namedtuple("LatticeGram", "gram")):
@@ -23,15 +24,8 @@ class LatticeGram(namedtuple("LatticeGram", "gram")):
     _make = classmethod(_checked_make)
 
     def __new__(cls, gram):
-        gram = integer_matrix(gram, "gram matrix")
-        n = len(gram)
-        if any(len(row) != n for row in gram):
-            raise ValueError("gram matrix is not square")
-        for i in range(n):
-            for j in range(i):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("gram matrix is not symmetric")
-        return super().__new__(cls, gram)
+        return super().__new__(cls, symmetric_matrix(integer_matrix(gram, "gram matrix"),
+                                                     "gram matrix"))
 
     @property
     def rank(self) -> int:

@@ -11,6 +11,9 @@ Conventions, fixed so that every routine is bit-for-bit deterministic:
   column, free columns in ascending order, with the free coordinate set to 1.
 * The Hermite normal form uses the leftmost available pivot column, positive
   pivots, and entries above a pivot reduced into ``[0, pivot)``.
+* Integer routines read every matrix and vector through ``integer_matrix``,
+  and forms pass ``symmetric_matrix``: a wrong row length, a non-integer entry
+  or an asymmetric form is a ``ValueError`` naming the matrix, never truncated.
 """
 from __future__ import annotations
 
@@ -117,16 +120,10 @@ def hermite_normal_form(rows):
     Zero rows are dropped. Row operations are unimodular, so the integer row
     span is preserved exactly.
     """
-    mat = [[int(x) for x in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    for row in mat:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
+    mat = [list(row) for row in integer_matrix(rows, "hnf matrix")]
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(mat[0]) if mat else 0):
         while True:
             live = [i for i in range(r, len(mat)) if mat[i][c] != 0]
             if not live:
@@ -155,8 +152,8 @@ def hermite_normal_form(rows):
 
 
 def hnf_contains(hnf_rows, pivots, target):
-    """Membership of an integer vector in the row span of an HNF matrix."""
-    t = [int(x) for x in target]
+    """Membership of an integer vector of the HNF's width in its row span."""
+    (t,) = integer_matrix([target], "membership target", len(hnf_rows[0]) if hnf_rows else None)
     for row, c in zip(hnf_rows, pivots):
         q, rem = divmod(t[c], row[c])
         if rem:
@@ -173,29 +170,41 @@ def integer_kernel(rows, ncols):
     the kernel of a map of free abelian groups is saturated, so the returned
     rows generate the full kernel lattice.
     """
-    rows = [list(r) for r in rows]
+    rows = integer_matrix(rows, "kernel matrix", ncols)
     nrows = len(rows)
-    aug = []
-    for j in range(ncols):
-        col = [rows[i][j] for i in range(nrows)]
-        aug.append(col + [1 if k == j else 0 for k in range(ncols)])
+    aug = [[row[j] for row in rows] + list(unit) for j, unit in enumerate(identity(ncols))]
     hnf, pivots = hermite_normal_form(aug)
-    basis = []
-    for row, c in zip(hnf, pivots):
-        if c >= nrows:
-            basis.append(row[nrows:])
-    return basis
+    return [row[nrows:] for row, c in zip(hnf, pivots) if c >= nrows]
 
 
-def integer_matrix(rows, name):
-    """``rows`` as a tuple of int tuples. An entry that is not an integer
-    raises ``ValueError`` naming it, where ``int`` would truncate it."""
-    rows = tuple(map(tuple, rows))
-    for i, row in enumerate(rows):
+def integer_matrix(rows, name, ncols=None):
+    """``rows`` as a tuple of int tuples of ``ncols`` entries each (by default
+    the first row's count). A row of another length, or an entry that is not
+    an integer, raises ``ValueError`` naming ``name`` and the row or entry."""
+    out = []
+    for i, row in enumerate(map(tuple, rows)):
+        ncols = len(row) if ncols is None else ncols
+        if len(row) != ncols:
+            raise ValueError(f"{name} row {i} has {len(row)} entries, not {ncols}")
         for j, x in enumerate(row):
-            if int(x) != x:
+            try:
+                integral = int(x) == x
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
                 raise ValueError(f"{name} entry {x} at ({i}, {j}) is not an integer")
-    return tuple(tuple(map(int, row)) for row in rows)
+        out.append(tuple(map(int, row)))
+    return tuple(out)
+
+
+def symmetric_matrix(rows, name):
+    """``rows`` itself, or ``ValueError`` if ``name`` is not square or not symmetric."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"{name} is not square")
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+        raise ValueError(f"{name} is not symmetric")
+    return rows
 
 
 class ScaledInvolution:
@@ -206,10 +215,10 @@ class ScaledInvolution:
     __slots__ = ("matrix", "gram", "scale")
 
     def __init__(self, matrix, gram, scale=1):
-        matrix = integer_matrix(matrix, "involution matrix")
-        gram = integer_matrix(gram, "gram matrix")
+        gram = symmetric_matrix(integer_matrix(gram, "gram matrix"), "gram matrix")
         n = len(gram)
-        if len(matrix) != n or any(len(row) != n for row in matrix):
+        matrix = integer_matrix(matrix, "involution matrix", n)
+        if len(matrix) != n:
             raise ValueError("involution matrix has wrong shape")
         square = scale * scale
         if matmul(matrix, matrix) != tuple(tuple(square * x for x in row) for row in identity(n)):
@@ -240,14 +249,8 @@ def _congruence_diagonal(gram):
     the determinant and the signature, which are then read off the diagonal
     exactly, never by numerics.
     """
-    mat = [[Fraction(x) for x in row] for row in gram]
+    mat = symmetric_matrix([[Fraction(x) for x in row] for row in gram], "matrix")
     n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(i):
-            if mat[i][j] != mat[j][i]:
-                raise ValueError("matrix is not symmetric")
 
     def add_row_col(i, j, f):
         # row_i += f * row_j, then col_i += f * col_j

@@ -214,7 +214,7 @@ class PolarizedSurfaceParams(namedtuple("PolarizedSurfaceParams", "s")):
     _make = classmethod(_checked_make)
 
     def __new__(cls, s=4):
-        if s < 1:
+        if type(s) is not int or s < 1:
             raise ValueError("s must be a positive integer")
         return super().__new__(cls, s)
 
@@ -256,10 +256,12 @@ class BundleRecipe(namedtuple("BundleRecipe", "kind labels")):
         return tuple(node_token(l) for l in self.labels)
 
 
-def checked_recipe(kind, labels) -> BundleRecipe:
-    """A recipe whose label count fits its kind: 12 nodes for twelve-nodes, 8
-    for half-even-eight. BundleRecipe itself accepts any count."""
-    recipe = BundleRecipe(kind, labels)
+def checked_recipe(kind, tokens) -> BundleRecipe:
+    """The recipe of ``kind`` over node tokens such as "E12": 12 tokens for
+    twelve-nodes, 8 for half-even-eight. BundleRecipe itself accepts any count."""
+    if not isinstance(tokens, (list, tuple)) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError(f"recipe.labels is not a list of strings: {tokens!r}")
+    recipe = BundleRecipe(kind, map(parse_node_token, tokens))
     expected = 12 if recipe.kind == TWELVE_NODES else 8
     if len(recipe.labels) != expected:
         raise ValueError(f"recipe kind {recipe.kind!r} needs exactly "

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 import itertools
 import math
+from operator import index
 import re
 
 from .labels import join_terms, split_terms
@@ -41,7 +42,10 @@ class PolyRing(namedtuple("PolyRing", "variables domain")):
         out = {}
         nvars, coerce = self.nvars, self.domain.coerce
         for mon, coeff in terms:
-            mon = tuple([int(e) for e in mon])
+            try:
+                mon = tuple([index(e) for e in mon])   # an int exponent, never truncated
+            except TypeError:
+                raise ValueError(f"bad exponent tuple {mon}") from None
             if len(mon) != nvars or (mon and min(mon) < 0):
                 raise ValueError(f"bad exponent tuple {mon}")
             out[mon] = coerce(out.get(mon, 0) + coeff)

@@ -123,8 +123,6 @@ def integer_span_contains(generators, target) -> bool:
     generators = list(generators)
     if not generators:
         raise ValueError("empty generator list")
-    if any(len(g) != len(target) for g in generators):
-        raise ValueError("dimension mismatch between generators and target")
     hnf, pivots = hermite_normal_form(generators)
     return hnf_contains(hnf, pivots, target)
 
@@ -136,10 +134,48 @@ def test_hermite_membership_examples():
 
 
 def test_hermite_membership_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^membership target row 0 has 3 entries, not 2$"):
         integer_span_contains([(2, 0)], (1, 1, 1))
+    with pytest.raises(ValueError, match=r"^membership target row 0 has 1 entries, not 2$"):
+        integer_span_contains([(2, 0)], (2,))
     with pytest.raises(ValueError):
         integer_span_contains([], (1, 1))
+
+
+def test_hnf_refuses_a_non_integer_entry():
+    with pytest.raises(ValueError, match=r"^hnf matrix entry 1/2 at \(0, 0\) is not an integer$"):
+        hermite_normal_form([[Fraction(1, 2), 1]])
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 2.7])
+def test_hnf_contains_refuses_a_non_integer_target(entry):
+    hnf, pivots = hermite_normal_form([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match=rf"^membership target entry {entry} at \(0, 0\) "
+                                         "is not an integer$"):
+        hnf_contains(hnf, pivots, (entry, 0))
+
+
+def test_hnf_contains_refuses_a_longer_target():
+    """``zip`` with the HNF rows would drop the 5 and report membership."""
+    with pytest.raises(ValueError, match=r"^membership target row 0 has 3 entries, not 2$"):
+        hnf_contains(*hermite_normal_form([[1, 0]]), [1, 0, 5])
+
+
+def test_integer_kernel_refuses_a_short_row():
+    with pytest.raises(ValueError, match=r"^kernel matrix row 1 has 1 entries, not 2$"):
+        integer_kernel([[1, 2], [3]], 2)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=4),
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n))))
+def test_hnf_membership_matches_unchanged_hnf(case):
+    """v lies in the integer row span iff appending it leaves the HNF, a
+    canonical form of that span, unchanged."""
+    rows, v = case
+    hnf = hermite_normal_form(rows)
+    assert hnf_contains(*hnf, v) == (hermite_normal_form(rows + [v]) == hnf)
 
 
 @settings(max_examples=60)
@@ -241,6 +277,13 @@ def test_scaled_involution_check():
         ScaledInvolution(swap, ((2, 0), (0, -2)), 1)
     with pytest.raises(ValueError, match="wrong shape"):
         ScaledInvolution(((0, 1),), ((0, 1), (1, 0)), 1)
+    # the gram matrix is read by the same rule as LatticeGram's
+    with pytest.raises(ValueError, match="^gram matrix is not symmetric$"):
+        ScaledInvolution(swap, ((0, 1), (2, 0)))
+    with pytest.raises(ValueError, match="^gram matrix is not square$"):
+        ScaledInvolution(swap, ((0, 1),))
+    with pytest.raises(ValueError, match=r"^involution matrix row 1 has 1 entries, not 2$"):
+        ScaledInvolution(((0, 1), (1,)), swap)
 
 
 def test_signature_examples():

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ulrichcert.labels import NODE_LABELS, TROPE_LABELS
+from ulrichcert.labels import NODE_LABELS, TROPE_LABELS, TWELVE_NODES
 from ulrichcert.fields import QQ
 from ulrichcert.linalg import hermite_normal_form, hnf_contains, rank
 from ulrichcert.picard import (BundleRecipe, DEFAULT_TWELVE, DivisorClass,
                                EvenEightTester, HALF_EVEN_EIGHT, Involution,
-                               PolarizedSurfaceParams, RANK, chi_k3,
+                               PolarizedSurfaceParams, RANK, checked_recipe, chi_k3,
                                default_picard_generators, default_recipe, doubled_support,
                                even_eight_test, format_divisor, hyperplane_class,
                                incidence_is_16_6, incidence_table, is_invariant,
@@ -146,7 +146,7 @@ def test_numerical_ulrich():
     assert numerical_ulrich(params, H, remark_m)
     with pytest.raises(ValueError):
         numerical_ulrich(PolarizedSurfaceParams(3), H, M)
-    for s in (0, -4):
+    for s in (0, -4, 4.5, "4"):
         with pytest.raises(ValueError, match="^s must be a positive integer$"):
             PolarizedSurfaceParams(s=s)
 
@@ -293,6 +293,21 @@ def test_recipe_validation():
     expected = 2 * L - Fraction(1, 2) * sum(
         (node_class(l) for l in REMARK_EIGHT), zero_class())
     assert half.divisor() == expected
+
+
+def test_checked_recipe_reads_node_tokens():
+    """The one reader of recipe tokens, for the config file and for descend."""
+    tokens = ["E0", "E12", "E13", "E14", "E15", "E16", "E23", "E24"]
+    assert checked_recipe(HALF_EVEN_EIGHT, tokens) == BundleRecipe(
+        HALF_EVEN_EIGHT, [(0,), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4)])
+    assert checked_recipe(HALF_EVEN_EIGHT, tuple(tokens)) == checked_recipe(HALF_EVEN_EIGHT, tokens)
+    for bad in ("E0", None, [5] + tokens[1:]):
+        with pytest.raises(ValueError, match="^recipe.labels is not a list of strings: "):
+            checked_recipe(HALF_EVEN_EIGHT, bad)
+    with pytest.raises(ValueError, match="^bad node token 'E99'$"):
+        checked_recipe(HALF_EVEN_EIGHT, ["E99"] + tokens[1:])
+    with pytest.raises(ValueError, match="needs exactly 12 labels, got 8$"):
+        checked_recipe(TWELVE_NODES, tokens)
 
 
 def test_default_generator_count():

@@ -203,3 +203,12 @@ def test_ring_mismatch_raises():
     g = RING_Q.variable(0)
     with pytest.raises(ValueError):
         f + g
+
+
+@pytest.mark.parametrize("mon", [(1, 0, 0), (1, -1, 0, 0), (1.5, 0, 0, 0), ("1", 0, 0, 0)],
+                         ids=["short", "negative", "float", "string"])
+def test_bad_exponent_tuple_rejected(mon):
+    """An exponent that is not a nonnegative int is refused, never truncated
+    by ``int`` (1.5 and "1" both read as X before)."""
+    with pytest.raises(ValueError, match="^bad exponent tuple "):
+        RING_Q.poly({mon: 1})

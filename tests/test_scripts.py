@@ -1,5 +1,7 @@
+import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -46,3 +48,18 @@ def test_run_certification_refutes_and_writes_a_loadable_certificate(tmp_path):
     assert run.returncode == 1, run.stderr
     assert "verdict: refuted (effectivity)" in run.stdout.splitlines()
     assert load_certificate_document(out)["body"]["verdict"] == "refuted"
+
+
+def test_source_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    spec = importlib.util.spec_from_file_location("source_lines",
+                                                  ROOT / "scripts" / "source_lines.py")
+    source_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(source_lines)
+    path = tmp_path / "sample.py"
+    path.write_text('"""Module\ndocstring."""\n\n# comment\nx = 1  # trailing\n\n\n'
+                    'def f():\n    """One line."""\n    return "not a docstring"\n')
+    assert source_lines.count(path) == (10, 3)
+
+    run = run_script("source_lines.py")
+    assert run.returncode == 0, run.stderr
+    assert re.fullmatch(r"src/ulrichcert: \d+ lines, \d+ code lines\n", run.stdout)
