@@ -9,8 +9,10 @@ Exit codes are a stable contract:
     5  invariance refutation
     6  even-eight refutation
     7  effectivity refutation
-    8  descent input not certified (or missing)
-    9  certificate integrity failure (not JSON, malformed, or digest mismatch)
+    8  descent input not certified: the recorded verdict, or the run rebuilt
+       from the certificate's inputs, does not certify (or the file is missing)
+    9  certificate integrity failure (not JSON, digest mismatch, unreadable
+       inputs, or a certified rebuild whose body differs from the recorded one)
     1  generic check failure in lattice subcommands
 
 Reports are JSON documents with a detachable header (timestamp and tool
@@ -26,7 +28,7 @@ import argparse
 import sys
 
 from .labels import (DEFAULT_PRIME, DEFAULT_ROOTS, DEFAULT_TWELVE, TWELVE_NODES, node_token,
-                     trope_token)
+                     parse_number, trope_token)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -71,7 +73,6 @@ class RunConfig:
 
 def load_config(path: str) -> RunConfig:
     import configparser
-    from fractions import Fraction
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -83,15 +84,9 @@ def load_config(path: str) -> RunConfig:
     if parser.has_section("surface"):
         section = parser["surface"]
         if "prime" in section:
-            try:
-                cfg.prime = int(section["prime"])
-            except ValueError:
-                raise ValueError(f"invalid prime {section['prime']!r}: not an integer") from None
+            cfg.prime = parse_number(section["prime"], "prime", integer=True)
         if "roots" in section:
-            try:
-                cfg.roots = tuple(Fraction(tok.strip()) for tok in section["roots"].split(","))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"invalid roots {section['roots']!r}: {exc}") from None
+            cfg.roots = tuple(section["roots"].split(","))
         if "quartic" in section:
             cfg.quartic_source = section["quartic"].strip()
     if parser.has_section("bundle"):
@@ -115,7 +110,7 @@ def _resolve_config(args) -> RunConfig:
     else:
         raise ValueError("a configuration is required: --config PATH or --paper-defaults")
     if args.prime is not None:
-        cfg.prime = args.prime
+        cfg.prime = parse_number(args.prime, "prime", integer=True)
     if args.out is not None:
         cfg.out_path = args.out
     return cfg
@@ -260,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a key-value configuration file")
         p.add_argument("--paper-defaults", action="store_true",
                        help="use the built-in reference configuration")
-        p.add_argument("--prime", type=int, default=None,
+        p.add_argument("--prime", default=None,
                        help="override the coefficient field prime")
         p.add_argument("--out", default=None, help="output file path")
 

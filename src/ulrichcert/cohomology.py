@@ -22,7 +22,8 @@ import os
 from . import __version__ as TOOL_VERSION, _checked_make
 from .enriques import (JUSTIFICATIONS, DescentInference, EnriquesClass, chi_enriques, halve,
                        ulrich_transfer)
-from .kummer import Genus2Curve, verify_sixteen_nodes
+from .fields import QQ, PrimeField
+from .kummer import Genus2Curve, read_quartic, verify_sixteen_nodes
 from .labels import node_token
 from .linalg import kernel_basis
 from .picard import (BundleRecipe, HALF_EVEN_EIGHT, PolarizedSurfaceParams, build_theta_star,
@@ -401,10 +402,8 @@ def load_certificate_document(path) -> dict:
     if document.get("format") != CERTIFICATE_FORMAT:
         raise CertificateIntegrityError(f"unexpected format {document.get('format')!r}")
     body = document.get("body")
-    if body is None or _digest(body) != document.get("digest"):
-        raise CertificateIntegrityError("certificate digest mismatch")
-    if not isinstance(body, dict) or "recipe" not in body:
-        raise CertificateIntegrityError("certificate body has no recipe")
+    if not isinstance(body, dict) or _digest(body) != document.get("digest"):
+        raise CertificateIntegrityError("certificate digest mismatch or a non-object body")
     return document
 
 
@@ -419,31 +418,67 @@ class EnriquesReport(namedtuple("EnriquesReport", "classes chi_polarization h0_p
 
 def descend_to_enriques(cert: UlrichCertificate) -> EnriquesReport:
     """Transfer a certified cover-side certificate down the double cover,
-    with the same checks as a certificate read from a file."""
+    under the same rule as a certificate read from a file."""
     return descend_from_document(certificate_document(cert))
 
 
-def descend_from_document(document: dict) -> EnriquesReport:
-    """The quotient-side report of a certificate document.
+def _rebuild(body: dict) -> UlrichCertificate:
+    """``certify_ulrich`` run on the curve, quartic, recipe and parameters that
+    a certificate body records, each read as a run reads it; inputs that
+    cannot be read or run are ``CertificateIntegrityError``."""
+    try:
+        surface = body["surface"]
+        domain = QQ if surface["prime"] is None else PrimeField(surface["prime"])
+        return certify_ulrich(Genus2Curve(surface["roots"]),
+                              read_quartic("inline:" + surface["quartic"], domain),
+                              checked_recipe(body["recipe"]["kind"], body["recipe"]["labels"]),
+                              PolarizedSurfaceParams(body["parameters"]["s"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CertificateIntegrityError(f"certificate body has malformed inputs: {exc!r}") from exc
 
-    The body must record a certified verdict and a well-formed recipe, and
-    the recipe class is re-checked to be fixed by the switch involution: the
-    recorded verdict alone is not trusted.
+
+def _leaves(value, path="body") -> dict:
+    """Each scalar of a JSON value, in canonical form, by its path such as
+    ``body.nodes.degree``; a record in a list is named by its ``name``, as in
+    ``body.checks.sixteen-nodes.pass``, and any other entry by its index."""
+    if isinstance(value, list):
+        value = {item["name"] if isinstance(item, dict) and isinstance(item.get("name"), str)
+                 else k: item for k, item in enumerate(value)}
+    if not isinstance(value, dict):
+        return {path: _canonical(value)}
+    return {leaf: text for key, item in value.items()
+            for leaf, text in _leaves(item, f"{path}.{key}").items()}
+
+
+def descend_from_document(document: dict) -> EnriquesReport:
+    """The quotient-side report of a certificate document, under one rule:
+    rebuild the body from its inputs, then conclude.
+
+    A body that does not record a certified verdict is refused at once
+    (``UncertifiedCertificateError``). Otherwise ``certify_ulrich`` is run
+    on the inputs the body records. A run that does not certify is
+    ``UncertifiedCertificateError`` naming its reason and failing check; a
+    certified run whose body differs from the recorded one is
+    ``CertificateIntegrityError`` naming the first field that differs, as are
+    inputs that cannot be read or run. The report is computed from the
+    rebuilt certificate.
     """
     body = document["body"]
     if body.get("verdict") != "certified":
-        raise UncertifiedCertificateError(
-            f"certificate verdict is {body.get('verdict')!r}")
-    try:
-        recipe = checked_recipe(body["recipe"]["kind"], body["recipe"]["labels"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateIntegrityError(
-            f"certificate body has a malformed recipe: {exc!r}") from exc
+        raise UncertifiedCertificateError(f"certificate verdict is {body.get('verdict')!r}")
+    cert = _rebuild(body)
+    if cert.verdict != "certified":
+        failed = next(record.name for record in cert.checks if not record.passed)
+        raise UncertifiedCertificateError(f"the certificate's inputs do not certify: "
+                                          f"{cert.refutation_reason} at {failed!r}")
+    rebuilt = certificate_body(cert)
+    if _canonical(rebuilt) != _canonical(body):
+        recorded, rebuilt = _leaves(body), _leaves(rebuilt)
+        where = next((path for path in {**rebuilt, **recorded}
+                      if recorded.get(path) != rebuilt.get(path)), "body")
+        raise CertificateIntegrityError(f"certificate body differs from its rebuilt run at {where}")
     h = polarization()
-    m = recipe.divisor()
-    if not is_invariant(build_theta_star(), m):
-        raise UncertifiedCertificateError(
-            f"the involution does not fix the candidate class {format_divisor(m)}")
+    m = cert.recipe.divisor()
     h_square, m_dot_h, m_square = int(pairing(h, h)), int(pairing(m, h)), int(pairing(m, m))
     hy2 = halve(h_square)
     n_dot_h = halve(m_dot_h)

@@ -27,21 +27,26 @@ from types import MappingProxyType
 from . import _checked_make
 from .fields import QQ, PrimeField
 from .groebner import buchberger, hilbert_degree_codim
-from .labels import DEFAULT_ROOTS, NODE_LABELS, node_token, validate_node_label
+from .labels import DEFAULT_ROOTS, NODE_LABELS, node_token, parse_number, validate_node_label
 from .polynomials import Poly, PolyRing, ProjectivePoint, parse_polynomial, partial_derivatives
 
 QUARTIC_VARIABLES = ("X", "Y", "Z", "W")
 
 
 class Genus2Curve(namedtuple("Genus2Curve", "roots")):
-    """Six distinct Weierstrass x-coordinates, kept as exact rationals; a
-    root is text such as ``"1/2"``, or an int or a Fraction, never a float."""
+    """Six distinct Weierstrass x-coordinates, given as a list or tuple and
+    kept as exact rationals; a root is text such as ``"1/2"`` in ASCII
+    digits, or an int or a Fraction, never a float."""
 
     __slots__ = ()
     _make = classmethod(_checked_make)
 
     def __new__(cls, roots):
-        roots = tuple(Fraction(r) if isinstance(r, str) else QQ.coerce(r) for r in roots)
+        if not isinstance(roots, (list, tuple)):
+            raise ValueError(f"the Weierstrass roots must be a list or tuple, "
+                             f"not {type(roots).__name__}")
+        roots = tuple(QQ.coerce(parse_number(r, "root") if isinstance(r, str) else r)
+                      for r in roots)
         if len(roots) != 6:
             raise ValueError("exactly six Weierstrass roots are required")
         if len(set(roots)) != 6:

@@ -6,10 +6,11 @@ points. Tropes are labelled by an index 1..6 or by a triple ``(i, j, 6)``
 with i < j <= 5. Tokens are the compact strings ``E0, E12, ..., E56`` and
 ``T1, ..., T6, T126, ..., T456``.
 
-It also holds the constants of the reference configuration and the term
+It also holds the constants of the reference configuration, the term
 splitter and joiner shared by the polynomial and divisor parsers and
-printers, so that callers which only need these do not import the layers
-that own them.
+printers, and ``parse_number``, the one reader of a number typed as text,
+so that callers which only need these do not import the layers that own
+them.
 """
 from __future__ import annotations
 
@@ -66,6 +67,23 @@ def parse_trope_token(token: str):
             and token[3] == "6"):
         return (int(token[1]), int(token[2]), 6)
     raise ValueError(f"bad trope token {token!r}")
+
+
+# ASCII digits only: int() and Fraction() also read other scripts' digits and
+# underscores. A denominator is nonzero.
+_NUMBER_RE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def parse_number(text: str, what: str, integer: bool = False):
+    """The number that ``text`` spells, with an optional sign and surrounding
+    whitespace: an int if ``integer``, else an integer or a fraction ``n/d``
+    as a Fraction. Anything else is a ``ValueError`` naming ``what``."""
+    match = _NUMBER_RE.fullmatch(text.strip())
+    if not match or integer and match[1]:
+        kind = "an integer" if integer else "an integer or fraction"
+        raise ValueError(f"invalid {what} {text.strip()!r}: not {kind} in ASCII digits")
+    from fractions import Fraction
+    return int(match[0]) if integer else Fraction(match[0])
 
 
 def validate_node_label(label):

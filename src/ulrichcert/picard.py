@@ -28,8 +28,8 @@ import functools
 
 from . import _checked_make
 from .labels import (DEFAULT_TWELVE, HALF_EVEN_EIGHT, NODE_LABELS, TROPE_LABELS, TWELVE_NODES,
-                     join_terms, node_token, parse_node_token, parse_trope_token, split_terms,
-                     validate_node_label)
+                     join_terms, node_token, parse_node_token, parse_number, parse_trope_token,
+                     split_terms, validate_node_label)
 from .linalg import ScaledInvolution, hermite_normal_form, hnf_contains, identity, matvec, transpose
 
 BASIS = ("L",) + NODE_LABELS
@@ -383,7 +383,8 @@ def parse_divisor(text: str) -> DivisorClass:
     """Parse expressions like ``3*L - E0 - 1/2*E12 + T6``.
 
     Tokens are L, the node tokens E0, E12..E56 and the trope tokens T1..T6,
-    T126..T456; trope tokens are normalized into the standard basis.
+    T126..T456; trope tokens are normalized into the standard basis. Each
+    coefficient is an integer or fraction in ASCII digits.
     """
     total = zero_class()
     for term in split_terms(text, "divisor expression"):
@@ -392,8 +393,8 @@ def parse_divisor(text: str) -> DivisorClass:
         coeff = Fraction(-1 if term[0] == "-" else 1)
         for factor in parts[:-1]:
             try:
-                coeff *= Fraction(factor)
-            except (ValueError, ZeroDivisionError):
+                coeff *= parse_number(factor, "coefficient")
+            except ValueError:
                 raise ValueError(f"bad coefficient {factor!r} in divisor term {term!r}") from None
         if token == "L":
             base = hyperplane_class()

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -10,10 +11,7 @@ import pytest
 
 import ulrichcert
 from ulrichcert import cli, kummer
-from ulrichcert.cohomology import certify_ulrich, write_certificate
-from ulrichcert.fields import PrimeField
-from ulrichcert.kummer import default_curve, load_corpus_quartic
-from ulrichcert.labels import DEFAULT_PRIME
+from ulrichcert.cohomology import write_certificate
 
 DEFAULT_LABELS = "E0, E16, E26, E36, E46, E56, E12, E13, E14, E15, E24, E35"
 SWAPPED_LABELS = "E0, E16, E26, E36, E46, E56, E12, E13, E14, E15, E25, E35"
@@ -95,8 +93,13 @@ def test_nodes_zero_denominator_root_is_config_error(tmp_path, capsys):
     ("[surface]\nquartic = inline:X^4++Y^4\n", "cannot parse polynomial near '++Y^4'"),
     ("[surface]\nquartic = inline:X^4+\n", "trailing garbage in polynomial: '+'"),
     ("[surface]\nroots = 1/32003, -1, 2, -2, 3, -3\n", "curve degenerates in GF(32003)"),
+    ("[surface]\nprime = \u0663\u0662\u0660\u0660\u0663\n",
+     "invalid prime '\u0663\u0662\u0660\u0660\u0663'"),
+    ("[surface]\nprime = 32_003\n", "invalid prime '32_003'"),
+    ("[surface]\nroots = \u0661, -1, 2, -2, 3, -3\n", "invalid root '\u0661'"),
 ], ids=["no-section-header", "duplicate-option", "non-integer-prime", "doubled-sign",
-        "trailing-sign", "root-with-denominator-p"])
+        "trailing-sign", "root-with-denominator-p", "arabic-indic-prime", "underscored-prime",
+        "arabic-indic-root"])
 def test_nodes_malformed_ini_is_config_error(tmp_path, capsys, text, message):
     path = tmp_path / "c.cfg"
     path.write_text(text)
@@ -136,6 +139,16 @@ def test_config_quartic_that_is_not_a_quartic_rejected(tmp_path, capsys, quartic
         assert f"not a nonzero form of degree 4 (term degrees found: {degrees})" in captured.err
         assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("prime", ["\u0667", "32_003", " 7.0"])
+def test_prime_flag_reads_ascii_digits_only(capsys, prime):
+    """--prime once went through int(), which reads other scripts' digits and
+    underscores, so \u0667 ran as 7 and 32_003 as 32003."""
+    assert cli.main(["nodes", "--paper-defaults", "--prime", prime]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"configuration error: invalid prime {prime.strip()!r}" in captured.err
 
 
 def test_nodes_composite_prime_rejected(capsys):
@@ -196,18 +209,10 @@ def test_certify_paper_defaults_refuted_effectivity(tmp_path, capsys):
     assert document["body"]["refutation"]["reason"] == "effectivity"
 
 
-def test_certify_and_descend_along_the_certified_path(tmp_path, capsys, monkeypatch):
+@pytest.mark.usefixtures("certified")
+def test_certify_and_descend_along_the_certified_path(tmp_path, capsys):
     """With the quadric check stubbed to pass, the chain ends in a certified
     verdict, and descend halves the recorded intersection numbers."""
-    from ulrichcert import cohomology
-
-    def passing_quadric_check(h, m, points_by_label, ring):
-        return cohomology.CheckRecord(
-            name="no-quadric-through-twelve-nodes",
-            justification="doubling+sections-through-nodes", inputs={},
-            value={"h0": 0, "witness": None}, passed=True)
-
-    monkeypatch.setattr(cohomology, "check_m_minus_h", passing_quadric_check)
     out = tmp_path / "cert.json"
     assert cli.main(["certify", "--paper-defaults", "--out", str(out)]) == cli.EXIT_OK
     assert "verdict: certified" in capsys.readouterr().out
@@ -259,34 +264,31 @@ def test_lattice_subcommands(capsys):
     assert "signature: (1, 9)" in output
 
 
-def certified_certificate_path(tmp_path):
-    cert = certify_ulrich(default_curve(), load_corpus_quartic(PrimeField(DEFAULT_PRIME)))
-    cert.verdict = "certified"
-    cert.refutation_reason = None
-    cert.refutation_witness = None
+@pytest.fixture
+def certified_path(tmp_path, certified):
+    """The stub-certified reference certificate, written to a file."""
     path = tmp_path / "certified.json"
-    write_certificate(path, cert)
+    write_certificate(path, certified)
     return path
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
-def test_written_files_honour_the_umask(tmp_path, capsys, umask, mode):
-    certified = certified_certificate_path(tmp_path)
+def test_written_files_honour_the_umask(tmp_path, capsys, certified_path, umask, mode):
     previous = os.umask(umask)
     try:
         cli.main(["certify", "--paper-defaults", "--out", str(tmp_path / "cert.json")])
         assert cli.main(["nodes", "--paper-defaults", "--out", str(tmp_path / "nodes.json")]) == 0
-        assert cli.main(["descend", str(certified), "--out", str(tmp_path / "report.json")]) == 0
+        assert cli.main(["descend", str(certified_path),
+                         "--out", str(tmp_path / "report.json")]) == 0
     finally:
         os.umask(previous)
     for name in ("cert.json", "nodes.json", "report.json"):
         assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
-def test_descend_on_certified_certificate(tmp_path, capsys):
-    path = certified_certificate_path(tmp_path)
+def test_descend_on_certified_certificate(tmp_path, capsys, certified_path):
     out = tmp_path / "report.json"
-    assert cli.main(["descend", str(path), "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["descend", str(certified_path), "--out", str(out)]) == cli.EXIT_OK
     stdout = capsys.readouterr().out
     assert "8 on the cover -> 4 on the quotient" in stdout
     assert "Ulrich" in stdout
@@ -307,9 +309,8 @@ def test_descend_on_missing_file(tmp_path, capsys):
     assert cli.main(["descend", str(tmp_path / "nope.json")]) == cli.EXIT_UNCERTIFIED
 
 
-def test_descend_on_tampered_certificate(tmp_path, capsys):
-    path = certified_certificate_path(tmp_path)
-    document = json.loads(path.read_text())
+def test_descend_on_tampered_certificate(tmp_path, capsys, certified_path):
+    document = json.loads(certified_path.read_text())
     document["body"]["parameters"]["s"] = 5
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(document))
@@ -351,27 +352,62 @@ def write_with_digest(path, document):
     return str(path)
 
 
-def test_descend_rechecks_invariance_of_certified_body(tmp_path, capsys):
-    document = json.loads(certified_certificate_path(tmp_path).read_text())
+def test_descend_rechecks_invariance_of_certified_body(tmp_path, capsys, certified_path):
+    document = json.loads(certified_path.read_text())
     document["body"]["recipe"]["labels"] = NON_INVARIANT_LABELS
     path = write_with_digest(tmp_path / "forged.json", document)
     assert cli.main(["descend", path]) == cli.EXIT_UNCERTIFIED
     assert "Ulrich" not in capsys.readouterr().out
 
 
-def test_descend_unknown_format_is_integrity_error(tmp_path, capsys):
-    document = json.loads(certified_certificate_path(tmp_path).read_text())
+def test_descend_unknown_format_is_integrity_error(tmp_path, capsys, certified_path):
+    document = json.loads(certified_path.read_text())
     document["format"] = "ulrich-certificate/2"
     path = write_with_digest(tmp_path / "v2.json", document)
     assert cli.main(["descend", path]) == cli.EXIT_INTEGRITY
     assert "unexpected format 'ulrich-certificate/2'" in capsys.readouterr().err
 
 
-def test_descend_body_without_recipe_is_integrity_error(tmp_path, capsys):
-    document = json.loads(certified_certificate_path(tmp_path).read_text())
+def test_descend_body_without_recipe_is_integrity_error(tmp_path, capsys, certified_path):
+    document = json.loads(certified_path.read_text())
     del document["body"]["recipe"]
     path = write_with_digest(tmp_path / "norecipe.json", document)
     assert cli.main(["descend", path]) == cli.EXIT_INTEGRITY
+
+
+def test_descend_refuses_a_forged_verdict(tmp_path, capsys):
+    """A refuted certificate forged to read certified, with its failing
+    quadric record set to pass and its digest recomputed: the rebuilt run
+    refutes, so descend exits 8 and names the check."""
+    out = tmp_path / "cert.json"
+    cli.main(["certify", "--paper-defaults", "--out", str(out)])
+    document = json.loads(out.read_text())
+    body = document["body"]
+    body["verdict"], body["refutation"] = "certified", None
+    quadric, = (c for c in body["checks"] if c["name"] == "no-quadric-through-twelve-nodes")
+    quadric["pass"], quadric["value"] = True, {"h0": 0, "witness": None}
+    path = write_with_digest(tmp_path / "forged.json", document)
+    capsys.readouterr()
+    assert cli.main(["descend", path]) == cli.EXIT_UNCERTIFIED
+    captured = capsys.readouterr()
+    assert "'no-quadric-through-twelve-nodes'" in captured.err
+    assert "Ulrich" not in captured.out
+
+
+@pytest.mark.parametrize("certified", [32003, None], ids=["gf", "qq"], indirect=True)
+def test_descend_names_the_field_a_certified_body_misstates(tmp_path, capsys, certified):
+    """A run that certifies, whose body has one value edited and its digest
+    recomputed: the rebuilt body differs, so descend exits 9 and names it."""
+    out = tmp_path / "cert.json"
+    write_certificate(out, certified)
+    document = json.loads(out.read_text())
+    assert document["body"]["surface"]["prime"] == certified.prime
+    document["body"]["nodes"]["degree"] = 17
+    path = write_with_digest(tmp_path / "edited.json", document)
+    assert cli.main(["descend", path]) == cli.EXIT_INTEGRITY
+    captured = capsys.readouterr()
+    assert "at body.nodes.degree" in captured.err
+    assert "Ulrich" not in captured.out
 
 
 def test_descend_json_list_is_integrity_error(tmp_path, capsys):
@@ -401,18 +437,40 @@ MALFORMED_RECIPES = [
     {"kind": "half-even-eight", "labels": NON_INVARIANT_LABELS},
     {"kind": "twelve-nodes", "labels": "E0"},
 ]
+MISSING = object()
+# other inputs of the run a body records: a field of the body and its new value
+MALFORMED_INPUTS = [
+    ("surface.prime", "32003"),
+    ("surface.prime", 4),
+    ("surface.roots", ["1", "-1", "2", "-2", "3"]),
+    ("surface.roots", "123456"),
+    ("surface.quartic", "Y^999999999"),
+    ("surface.quartic", "X^5"),
+    ("parameters", MISSING),
+]
 # the cases whose error is about the labels field itself
 LABEL_CASES = {"labels-not-a-list", "non-string-token", "one-of-twelve-labels",
                "twelve-of-eight-labels", "labels-a-string"}
 
 
-@pytest.mark.parametrize("recipe", MALFORMED_RECIPES,
+@pytest.mark.parametrize("field, value",
+                         [("recipe", recipe) for recipe in MALFORMED_RECIPES] + MALFORMED_INPUTS,
                          ids=["empty-object", "list", "labels-not-a-list", "unknown-kind",
                               "bad-token", "non-string-token", "one-of-twelve-labels",
-                              "twelve-of-eight-labels", "labels-a-string"])
-def test_descend_malformed_recipe_is_integrity_error(tmp_path, capsys, request, recipe):
-    document = json.loads(certified_certificate_path(tmp_path).read_text())
-    document["body"]["recipe"] = recipe
+                              "twelve-of-eight-labels", "labels-a-string",
+                              "prime-a-string", "prime-four", "five-roots", "roots-a-string",
+                              "huge-quartic-exponent", "quintic", "no-parameters"])
+def test_descend_malformed_recipe_is_integrity_error(tmp_path, capsys, request, certified_path,
+                                                     field, value):
+    """A malformed recipe, or another malformed input of the run, with its
+    digest recomputed: descend cannot rebuild the body and exits 9."""
+    document = json.loads(certified_path.read_text())
+    *parents, key = field.split(".")
+    parent = functools.reduce(dict.__getitem__, parents, document["body"])
+    if value is MISSING:
+        del parent[key]
+    else:
+        parent[key] = value
     path = write_with_digest(tmp_path / "malformed.json", document)
     assert cli.main(["descend", path]) == cli.EXIT_INTEGRITY
     captured = capsys.readouterr()

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from ulrichcert.cohomology import (CertificateIntegrityError, CheckRecord,
                                    UncertifiedCertificateError,
                                    UnsupportedShapeError, _digest, certificate_body,
-                                   certify_ulrich, check_m_minus_h, check_two_h_minus_m,
+                                   certificate_document, certify_ulrich, check_m_minus_h,
+                                   check_two_h_minus_m,
                                    descend_from_document, descend_to_enriques,
                                    h0_forms_through_points, load_certificate_document,
                                    section_basis, write_certificate)
@@ -366,25 +367,15 @@ def test_certificate_round_trip_and_integrity(tmp_path, curve, quartic):
 # descent
 # ---------------------------------------------------------------------------
 
-def certified_fixture(curve, quartic):
-    """A certificate object with the verdict forced, for descent machinery."""
-    cert = certify_ulrich(curve, quartic)
-    cert.verdict = "certified"
-    cert.refutation_reason = None
-    cert.refutation_witness = None
-    return cert
-
-
 def test_descend_refuses_refuted(curve, quartic):
     with pytest.raises(UncertifiedCertificateError):
         descend_to_enriques(certify_ulrich(curve, quartic))
 
 
-def test_descend_in_memory_checks_the_recipe(curve, quartic):
-    cert = certified_fixture(curve, quartic)
-    cert.recipe = BundleRecipe(labels=DEFAULT_TWELVE[:11])
+def test_descend_in_memory_checks_the_recipe(certified):
+    certified.recipe = BundleRecipe(labels=DEFAULT_TWELVE[:11])
     with pytest.raises(CertificateIntegrityError, match="needs exactly 12 labels"):
-        descend_to_enriques(cert)
+        descend_to_enriques(certified)
 
 
 def test_check_record_rejects_unknown_justification_tag():
@@ -398,8 +389,8 @@ def test_check_record_rejects_unknown_justification_tag():
         CheckRecord("y", "doubling+", {}, None, True)
 
 
-def test_descend_report_numbers(curve, quartic):
-    report = descend_to_enriques(certified_fixture(curve, quartic))
+def test_descend_report_numbers(certified):
+    report = descend_to_enriques(certified)
     by_name = {c.name: c for c in report.classes}
     assert by_name["H_Y"].self_intersection == 4
     assert by_name["N"].self_intersection == 6
@@ -415,11 +406,19 @@ def test_descend_report_numbers(curve, quartic):
                                   "etale-pushforward-ulrich", "summand-ulrich"]
 
 
-def test_descend_from_document(tmp_path, curve, quartic):
+def test_descend_from_document(tmp_path, certified):
     path = tmp_path / "cert.json"
-    write_certificate(path, certified_fixture(curve, quartic))
+    write_certificate(path, certified)
     report = descend_from_document(load_certificate_document(path))
     assert report.halving[0] == ("H.H", 8, 4)
+
+
+def test_descend_names_the_check_a_certified_body_misstates(certified):
+    document = certificate_document(certified)
+    document["body"]["checks"][0]["value"]["codim"] = 2
+    with pytest.raises(CertificateIntegrityError,
+                       match=r"rebuilt run at body\.checks\.sixteen-nodes\.value\.codim$"):
+        descend_from_document(document)
 
 
 def test_section_basis_refuses_a_ring_over_another_field(nodes):

@@ -211,6 +211,10 @@ def test_curve_reads_text_ints_and_fractions_but_no_float():
     assert curve.roots == (Fraction(1, 2), 1, 2, Fraction(3, 4), 4, 5)
     with pytest.raises(TypeError, match="^cannot coerce float into QQ$"):
         Genus2Curve((0.1, 1, 2, 3, 4, 5))
+    with pytest.raises(ValueError, match="^invalid root '\u0661': not an integer or fraction"):
+        Genus2Curve(("\u0661", 2, 3, 4, 5, 6))  # Fraction() once read it as 1
+    with pytest.raises(ValueError, match="^the Weierstrass roots must be a list or tuple, not str$"):
+        Genus2Curve("123456")  # once read one character at a time
 
 
 def test_read_quartic_is_the_one_reader_of_a_quartic_source(gf):

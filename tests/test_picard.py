@@ -1,11 +1,12 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ulrichcert.labels import (NODE_LABELS, TROPE_LABELS, TWELVE_NODES, parse_node_token,
-                               parse_trope_token)
+                               parse_number, parse_trope_token)
 from ulrichcert.fields import QQ
 from ulrichcert.linalg import hermite_normal_form, hnf_contains, rank
 from ulrichcert.picard import (BundleRecipe, DEFAULT_TWELVE, DivisorClass,
@@ -274,6 +275,8 @@ def test_divisor_parser_tropes_and_fractions():
         parse_divisor("1/0*L")
     with pytest.raises(ValueError, match="bad trope token 'T7'"):
         parse_divisor("T7")
+    with pytest.raises(ValueError, match="^bad coefficient '\u0662' in divisor term '\u0662\\*L'$"):
+        parse_divisor("\u0662*L")  # Fraction() once read it as 2
 
 
 def test_divisor_class_denominators():
@@ -366,3 +369,28 @@ def test_tokens_read_ascii_digits_only(parse, token):
     kind = "node" if parse is parse_node_token else "trope"
     with pytest.raises(ValueError, match=f"^bad {kind} token '{token}'$"):
         parse(token)
+
+
+@pytest.mark.parametrize("text, integer, value", [
+    ("7", True, 7), (" -7 ", True, -7), ("+32003", True, 32003), ("3/4", False, Fraction(3, 4)),
+    ("-6/4", False, Fraction(-3, 2)), ("5", False, Fraction(5)),
+])
+def test_parse_number_reads_ascii_integers_and_fractions(text, integer, value):
+    number = parse_number(text, "x", integer)
+    assert number == value and type(number) is type(value)
+
+
+@pytest.mark.parametrize("text, integer, reason", [
+    ("\u0667", True, "not an integer in ASCII digits"),
+    ("32_003", True, "not an integer in ASCII digits"),
+    ("1/2", True, "not an integer in ASCII digits"),
+    ("\u0661/2", False, "not an integer or fraction in ASCII digits"),
+    ("0.5", False, "not an integer or fraction in ASCII digits"),
+    ("1e3", False, "not an integer or fraction in ASCII digits"),
+    ("1/0", False, "not an integer or fraction in ASCII digits"),
+    ("1/00", False, "not an integer or fraction in ASCII digits"),
+    ("", False, "not an integer or fraction in ASCII digits"),
+])
+def test_parse_number_refuses_all_but_ascii_digits(text, integer, reason):
+    with pytest.raises(ValueError, match=f"^invalid x {re.escape(repr(text))}: {reason}$"):
+        parse_number(text, "x", integer)

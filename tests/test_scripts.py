@@ -4,8 +4,6 @@ import pathlib
 import subprocess
 import sys
 
-from ulrichcert.cohomology import load_certificate_document
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -39,14 +37,6 @@ def test_invariant_recipes_output_matches_golden():
     assert recipes.returncode == 0, recipes.stderr
     golden = (ROOT / "tests" / "golden" / "invariant_recipes.txt").read_text()
     assert recipes.stdout == golden
-
-
-def test_run_certification_refutes_and_writes_a_loadable_certificate(tmp_path):
-    out = tmp_path / "cert.json"
-    run = run_script("run_certification.py", "--out", str(out))
-    assert run.returncode == 1, run.stderr
-    assert "verdict: refuted (effectivity)" in run.stdout.splitlines()
-    assert load_certificate_document(out)["body"]["verdict"] == "refuted"
 
 
 def test_source_lines_skips_blanks_comments_and_docstrings(tmp_path):
