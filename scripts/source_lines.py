@@ -4,17 +4,49 @@ Two numbers for the ``.py`` files under ``src/ulrichcert``: all lines, and
 code lines, which leave out blank lines, comment-only lines and the
 docstrings of modules, classes and functions. The first line gives the
 package totals; one line per module follows, in path order, so a change
-shows where its lines moved. Standard library only::
+shows where its lines moved.
+
+Then one line per command shape that the benchmark and CI run: its exit
+code, and the package modules, besides ``cli.py``, that a fresh interpreter
+running it loads, with their code lines. A process without a bytecode cache
+compiles every module it loads, so this is the repeatable count of a cold
+command's import work. ``descend`` reads the refuted certificate that
+``certify --paper-defaults`` writes. Standard library only::
 
     python scripts/source_lines.py
 """
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+import tempfile
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ulrichcert"
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+# run in this order in one directory: certify writes the certificate descend reads
+COMMANDS = (
+    ("certify", "--paper-defaults", "--out", "cert.json"),
+    ("nodes", "--paper-defaults"),
+    ("nodes", "--paper-defaults", "--out", "nodes.json"),
+    ("lattice", "theta-check"),
+    ("lattice", "incidence"),
+    ("lattice", "even-eights"),
+    ("lattice", "horikawa"),
+    ("descend", "cert.json"),
+)
+PROBE = """import contextlib, io, sys
+import ulrichcert.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    status = ulrichcert.cli.main(sys.argv[1:])
+print(status)
+for name, module in sys.modules.items():
+    if name.startswith("ulrichcert"):
+        print(module.__file__)
+"""
 
 
 def docstring_lines(tree) -> set:
@@ -39,12 +71,30 @@ def count(path: pathlib.Path):
     return len(lines), code
 
 
+def loaded_modules(argv, directory) -> tuple:
+    """Exit code of ``argv`` run in a fresh interpreter in ``directory``, and
+    the package modules besides ``cli.py`` that it loads, in path order."""
+    run = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=directory, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SOURCE.parent)),
+                         capture_output=True, text=True)
+    status, *files = run.stdout.splitlines()
+    modules = sorted(pathlib.Path(f).relative_to(SOURCE) for f in files)
+    return int(status), [m for m in modules if m != pathlib.Path("cli.py")]
+
+
 def main() -> None:
     counts = {path.relative_to(SOURCE): count(path) for path in sorted(SOURCE.rglob("*.py"))}
     total, code = (sum(column) for column in zip(*counts.values()))
     print(f"src/ulrichcert: {total} lines, {code} code lines")
     for module, (t, c) in counts.items():
         print(f"  {module}: {t} lines, {c} code lines")
+    print("modules that each command loads besides cli.py, in a fresh interpreter:")
+    with tempfile.TemporaryDirectory() as directory:
+        for argv in COMMANDS:
+            status, modules = loaded_modules(argv, directory)
+            print(f"  {' '.join(argv)} (exit {status}): {len(modules)} modules, "
+                  f"{sum(counts[m][1] for m in modules)} code lines: "
+                  + " ".join(map(str, modules)))
 
 
 if __name__ == "__main__":

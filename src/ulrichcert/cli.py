@@ -20,7 +20,13 @@ version); bodies are deterministic, so two runs on the same configuration
 produce byte-identical bodies.
 
 Each command imports only the layers it runs, so a lattice check does not
-pay for loading the polynomial and Groebner layers.
+pay for loading the polynomial and Groebner layers, ``nodes --out`` writes
+its report without the certify chain, and ``descend`` reads, checks and
+refuses a certificate through ``documents`` before it loads ``cohomology``
+for a body that records ``certified``.
+
+``nodes`` writes a report only where ``--out`` names one; a configuration's
+``[output] path`` names the certificate that ``certify`` writes.
 """
 from __future__ import annotations
 
@@ -130,8 +136,8 @@ def _cmd_nodes(args) -> int:
         print(f"  {node_token(label):>4}  ({':'.join(str(c) for c in point.coordinates)})"
               f"   mod p ({':'.join(str(c) for c in residues)})")
     print(report.summary())
-    if cfg.out_path:
-        from .cohomology import write_json_atomic
+    if args.out:
+        from .documents import write_json_atomic
         body = {
             "prime": cfg.prime,
             "roots": [str(r) for r in curve.roots],
@@ -143,7 +149,7 @@ def _cmd_nodes(args) -> int:
             ],
             "verification": report.evidence(),
         }
-        write_json_atomic(cfg.out_path, body)
+        write_json_atomic(args.out, body)
     return EXIT_OK if report.passed else EXIT_NODES
 
 
@@ -219,17 +225,19 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_descend(args) -> int:
-    from . import cohomology
+    from . import documents
     try:
-        document = cohomology.load_certificate_document(args.certificate)
+        document = documents.load_certificate_document(args.certificate)
+        documents.certified_body(document)
+        from . import cohomology
         report = cohomology.descend_from_document(document)
     except FileNotFoundError:
         print(f"certificate file {args.certificate!r} not found", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    except cohomology.CertificateIntegrityError as exc:
+    except documents.CertificateIntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except cohomology.UncertifiedCertificateError as exc:
+    except documents.UncertifiedCertificateError as exc:
         print(f"descent error: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
     for name, cover, quotient in report.halving:
@@ -239,7 +247,7 @@ def _cmd_descend(args) -> int:
           f" (degree-{report.plane_cover_degree} cover of the plane)")
     print(f"  conclusion: {report.conclusion}")
     if args.out:
-        cohomology.write_json_atomic(
+        documents.write_json_atomic(
             args.out, cohomology.report_document(report, document.get("digest")))
     return EXIT_OK
 

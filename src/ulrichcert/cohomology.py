@@ -13,13 +13,19 @@ non-effective, and a positive value blocks certification.
 The certificate chain is: node verification, numerical conditions,
 even-eight shape detection, involution invariance, then the two
 effectivity values; the verdict is ``certified`` only if every step passes.
+
+This module builds the certificate body and the descent report; the
+document around a body (header, digest, atomic write, reading it back and
+the verdict rule) is ``documents``, which loads no math layer.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-import os
 
 from . import __version__ as TOOL_VERSION, _checked_make
+from .documents import (CERTIFICATE_FORMAT, REPORT_FORMAT, CertificateIntegrityError,
+                        UncertifiedCertificateError, _canonical, _digest, _document,
+                        certified_body, write_json_atomic)
 from .enriques import (JUSTIFICATIONS, DescentInference, EnriquesClass, chi_enriques, halve,
                        ulrich_transfer)
 from .fields import QQ, PrimeField
@@ -31,21 +37,9 @@ from .picard import (BundleRecipe, HALF_EVEN_EIGHT, PolarizedSurfaceParams, buil
                      format_divisor, is_invariant, pairing, polarization)
 from .polynomials import Poly, format_polynomial, monomial_basis, power_product
 
-TOOL_NAME = "ulrichcert"
-CERTIFICATE_FORMAT = "ulrich-certificate/1"
-REPORT_FORMAT = "enriques-report/1"
-
 
 class UnsupportedShapeError(ValueError):
     """The divisor class is outside the decidable certificate shapes."""
-
-
-class UncertifiedCertificateError(Exception):
-    """An operation required a certified certificate."""
-
-
-class CertificateIntegrityError(Exception):
-    """A serialized certificate failed its digest check."""
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +292,6 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
 # Serialization
 # ---------------------------------------------------------------------------
 
-# json, hashlib (which maps OpenSSL) and datetime are imported on use, so a
-# process that writes and reads no document does not load them
-
-def _canonical(obj) -> str:
-    import json
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _digest(obj) -> str:
-    import hashlib
-    return hashlib.sha256(_canonical(obj).encode()).hexdigest()
-
-
 def certificate_body(cert: UlrichCertificate) -> dict:
     """The deterministic part of the serialized certificate."""
     return {
@@ -340,70 +321,13 @@ def certificate_body(cert: UlrichCertificate) -> dict:
     }
 
 
-def _document(fmt: str, body: dict) -> dict:
-    """A serialized document: format, detachable header, body and its digest."""
-    import datetime
-    return {
-        "format": fmt,
-        "header": {
-            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "tool": f"{TOOL_NAME} {TOOL_VERSION}",
-        },
-        "body": body,
-        "digest": _digest(body),
-    }
-
-
 def certificate_document(cert: UlrichCertificate) -> dict:
     return _document(CERTIFICATE_FORMAT, certificate_body(cert))
-
-
-def write_json_atomic(path, document: dict):
-    """Serialize to a temp file in the target directory and rename over.
-
-    The temp file is created exclusively with mode 0o666 less the umask, the
-    mode that ``open(path, "w")`` gives a new file. An ``OSError`` names
-    ``path``, not the temp file, and leaves no temp file.
-    """
-    import json
-    path = os.fspath(path)
-    candidate = os.path.join(os.path.dirname(path) or ".", f"tmp{os.urandom(8).hex()}.tmp")
-    tmp = None
-    try:
-        fd = os.open(candidate, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        tmp = candidate
-        with os.fdopen(fd, "w") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.errno is not None:
-            raise OSError(exc.errno, exc.strerror, path) from exc
-        raise
 
 
 def write_certificate(path, cert: UlrichCertificate) -> dict:
     document = certificate_document(cert)
     write_json_atomic(path, document)
-    return document
-
-
-def load_certificate_document(path) -> dict:
-    import json
-    with open(path) as handle:
-        try:
-            document = json.load(handle)
-        except (ValueError, RecursionError) as exc:   # RecursionError: nested too deep
-            raise CertificateIntegrityError(f"certificate is not JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise CertificateIntegrityError("certificate is not a JSON object")
-    if document.get("format") != CERTIFICATE_FORMAT:
-        raise CertificateIntegrityError(f"unexpected format {document.get('format')!r}")
-    body = document.get("body")
-    if not isinstance(body, dict) or _digest(body) != document.get("digest"):
-        raise CertificateIntegrityError("certificate digest mismatch or a non-object body")
     return document
 
 
@@ -454,18 +378,16 @@ def descend_from_document(document: dict) -> EnriquesReport:
     """The quotient-side report of a certificate document, under one rule:
     rebuild the body from its inputs, then conclude.
 
-    A body that does not record a certified verdict is refused at once
-    (``UncertifiedCertificateError``). Otherwise ``certify_ulrich`` is run
-    on the inputs the body records. A run that does not certify is
-    ``UncertifiedCertificateError`` naming its reason and failing check; a
-    certified run whose body differs from the recorded one is
-    ``CertificateIntegrityError`` naming the first field that differs, as are
-    inputs that cannot be read or run. The report is computed from the
-    rebuilt certificate.
+    A body that does not record a certified verdict is refused at once by
+    ``documents.certified_body`` (``UncertifiedCertificateError``).
+    Otherwise ``certify_ulrich`` is run on the inputs the body records. A
+    run that does not certify is ``UncertifiedCertificateError`` naming its
+    reason and failing check; a certified run whose body differs from the
+    recorded one is ``CertificateIntegrityError`` naming the first field
+    that differs, as are inputs that cannot be read or run. The report is
+    computed from the rebuilt certificate.
     """
-    body = document["body"]
-    if body.get("verdict") != "certified":
-        raise UncertifiedCertificateError(f"certificate verdict is {body.get('verdict')!r}")
+    body = certified_body(document)
     cert = _rebuild(body)
     if cert.verdict != "certified":
         failed = next(record.name for record in cert.checks if not record.passed)

@@ -305,6 +305,19 @@ def test_descend_on_refuted_certificate(tmp_path, capsys):
     assert cli.main(["descend", str(out)]) == cli.EXIT_UNCERTIFIED
 
 
+def test_nodes_leaves_the_configured_certificate_alone(tmp_path, capsys):
+    """A configuration's ``[output] path`` names the certificate: ``nodes``
+    with the same configuration writes nothing there, so ``descend`` still
+    reads the refuted certificate."""
+    cert = tmp_path / "cert.json"
+    cfg = write_config(tmp_path / "run.cfg", out=str(cert))
+    assert cli.main(["certify", "--config", cfg]) == cli.EXIT_EFFECTIVITY
+    written = cert.read_bytes()
+    assert cli.main(["nodes", "--config", cfg]) == cli.EXIT_OK
+    assert cert.read_bytes() == written
+    assert cli.main(["descend", str(cert)]) == cli.EXIT_UNCERTIFIED
+
+
 def test_descend_on_missing_file(tmp_path, capsys):
     assert cli.main(["descend", str(tmp_path / "nope.json")]) == cli.EXIT_UNCERTIFIED
 
@@ -486,18 +499,21 @@ def test_version_matches_package_metadata():
     assert ulrichcert.__version__ == declared
 
 
-LAYERS = {"cohomology", "kummer", "groebner", "polynomials", "picard", "lattices", "fields"}
+# the math layers: everything in the package but cli, labels and documents
+LAYERS = {"cohomology", "enriques", "fields", "groebner", "kummer", "lattices", "linalg",
+          "picard", "polynomials"}
 CERTIFY_CHAIN = {"kummer", "groebner", "polynomials", "cohomology"}
 # stdlib modules that only writing or reading a document needs; dataclasses
 # is used nowhere
 SERIALIZATION = {"dataclasses", "hashlib", "json", "datetime"}
 
 
-def modules_loaded_by(argv, module="ulrichcert.cli"):
-    """Exit status and the modules a fresh interpreter adds to ``sys.modules``
-    by importing ``module`` and, when ``argv`` is given, running that command
-    through ``ulrichcert.cli``. Modules that start-up had already loaded do not
-    count, and the layers of ``ulrichcert`` are named without the package."""
+def modules_loaded_by(argv, module="ulrichcert.cli", cwd=None):
+    """Exit status and the modules a fresh interpreter, started in ``cwd``,
+    adds to ``sys.modules`` by importing ``module`` and, when ``argv`` is
+    given, running that command through ``ulrichcert.cli``. Modules that
+    start-up had already loaded do not count, and the layers of
+    ``ulrichcert`` are named without the package."""
     probe = ("import io, contextlib, sys\n"
              "before = set(sys.modules)\n"
              f"import {module}\n"
@@ -510,29 +526,67 @@ def modules_loaded_by(argv, module="ulrichcert.cli"):
              "print(status, *(m.removeprefix('ulrichcert.') for m in set(sys.modules) - before))\n")
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
-                         capture_output=True, text=True, timeout=120)
+                         cwd=cwd, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     status, *loaded = run.stdout.split()
     return (None if status == "None" else int(status)), set(loaded)
 
 
-@pytest.mark.parametrize("argv, needed, absent", [
-    (None, set(), LAYERS | SERIALIZATION),
-    (["lattice", "horikawa"], {"lattices"}, {"picard"} | CERTIFY_CHAIN | SERIALIZATION),
-    (["lattice", "theta-check"], {"picard"}, CERTIFY_CHAIN | SERIALIZATION),
-    (["lattice", "incidence"], {"picard"}, CERTIFY_CHAIN | SERIALIZATION),
-    (["lattice", "even-eights"], {"picard"}, CERTIFY_CHAIN | SERIALIZATION),
-    (["nodes", "--paper-defaults"], {"kummer", "fields", "linalg"},
+@pytest.fixture(scope="module")
+def refuted_dir(tmp_path_factory):
+    """A directory holding the refuted reference certificate, ``refuted.json``,
+    and a copy edited to read certified without a new digest,
+    ``wrong-digest.json``."""
+    directory = tmp_path_factory.mktemp("refuted")
+    assert cli.main(["certify", "--paper-defaults",
+                     "--out", str(directory / "refuted.json")]) == cli.EXIT_EFFECTIVITY
+    text = (directory / "refuted.json").read_text()
+    (directory / "wrong-digest.json").write_text(
+        text.replace('"verdict": "refuted"', '"verdict": "certified"'))
+    return directory
+
+
+@pytest.mark.parametrize("argv, exit_code, needed, absent", [
+    (None, None, set(), LAYERS | SERIALIZATION),
+    (["lattice", "horikawa"], 0, {"lattices"}, {"picard"} | CERTIFY_CHAIN | SERIALIZATION),
+    (["lattice", "theta-check"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION),
+    (["lattice", "incidence"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION),
+    (["lattice", "even-eights"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION),
+    (["nodes", "--paper-defaults"], 0, {"kummer", "fields", "linalg"},
      {"cohomology", "picard"} | SERIALIZATION),
-], ids=["import", "horikawa", "theta-check", "incidence", "even-eights", "nodes"])
-def test_each_command_imports_only_its_layers(argv, needed, absent):
-    status, loaded = modules_loaded_by(argv)
-    assert status == (None if argv is None else cli.EXIT_OK)
+    (["nodes", "--paper-defaults", "--out", "nodes.json"], 0, {"kummer", "documents", "json"},
+     {"cohomology", "picard", "enriques"}),
+    (["descend", "refuted.json"], 8, {"documents"}, LAYERS),
+    (["descend", "wrong-digest.json"], 9, {"documents"}, LAYERS),
+], ids=["import", "horikawa", "theta-check", "incidence", "even-eights", "nodes", "nodes-out",
+        "descend-refuted", "descend-wrong-digest"])
+def test_each_command_imports_only_its_layers(refuted_dir, argv, exit_code, needed, absent):
+    status, loaded = modules_loaded_by(argv, cwd=refuted_dir)
+    assert status == exit_code
     assert needed <= loaded
     assert not loaded & absent, sorted(loaded & absent)
 
 
-@pytest.mark.parametrize("layer", ["cohomology", "kummer", "picard", "lattices", "cli"])
+@pytest.mark.parametrize("verdict", ["refuted", MISSING, None, "Certified"],
+                         ids=["refuted", "missing", "null", "capitalised"])
+def test_descend_refuses_an_uncertified_verdict_before_any_math_layer(tmp_path, refuted_dir,
+                                                                     verdict):
+    """The verdict rule: only a body recording exactly ``certified`` goes on
+    to the rebuild, so every other verdict exits 8 with no math layer loaded."""
+    document = json.loads((refuted_dir / "refuted.json").read_text())
+    if verdict is MISSING:
+        del document["body"]["verdict"]
+    else:
+        document["body"]["verdict"] = verdict
+    path = write_with_digest(tmp_path / "verdict.json", document)
+    status, loaded = modules_loaded_by(["descend", path])
+    assert status == cli.EXIT_UNCERTIFIED
+    assert "documents" in loaded
+    assert not loaded & LAYERS, sorted(loaded & LAYERS)
+
+
+@pytest.mark.parametrize("layer", ["cohomology", "kummer", "picard", "lattices", "cli",
+                                   "documents"])
 def test_layers_import_no_serialization_modules(layer):
     _, loaded = modules_loaded_by(None, f"ulrichcert.{layer}")
     assert layer in loaded

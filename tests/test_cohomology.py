@@ -7,14 +7,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ulrichcert.cohomology import (CertificateIntegrityError, CheckRecord,
-                                   UncertifiedCertificateError,
-                                   UnsupportedShapeError, _digest, certificate_body,
+from ulrichcert.cohomology import (CheckRecord, UnsupportedShapeError, certificate_body,
                                    certificate_document, certify_ulrich, check_m_minus_h,
                                    check_two_h_minus_m,
                                    descend_from_document, descend_to_enriques,
-                                   h0_forms_through_points, load_certificate_document,
-                                   section_basis, write_certificate)
+                                   h0_forms_through_points, section_basis, write_certificate)
+from ulrichcert.documents import (CertificateIntegrityError, UncertifiedCertificateError,
+                                  _digest, load_certificate_document)
 from ulrichcert import picard
 from ulrichcert.fields import QQ, PrimeField
 from ulrichcert.groebner import buchberger, hilbert_degree_codim

@@ -51,11 +51,20 @@ def test_source_lines_skips_blanks_comments_and_docstrings(tmp_path):
 
     run = run_script("source_lines.py")
     assert run.returncode == 0, run.stderr
-    first, *modules = run.stdout.splitlines()
+    first, *lines = run.stdout.splitlines()
     source = ROOT / "src" / "ulrichcert"
     counts = [(path.relative_to(source), source_lines.count(path))
               for path in sorted(source.rglob("*.py"))]
     assert first == (f"src/ulrichcert: {sum(t for _, (t, _) in counts)} lines, "
                      f"{sum(c for _, (_, c) in counts)} code lines")
+    modules, commands = lines[:len(counts)], lines[len(counts) + 1:]
     assert modules == [f"  {module}: {t} lines, {c} code lines" for module, (t, c) in counts]
     assert "  cli.py" in {line.split(":")[0] for line in modules}
+    assert lines[len(counts)] == ("modules that each command loads besides cli.py, "
+                                  "in a fresh interpreter:")
+    assert [line.split(" (exit")[0].strip() for line in commands] == [
+        " ".join(argv) for argv in source_lines.COMMANDS]
+    code = dict(counts)
+    read = sum(code[pathlib.Path(name)][1] for name in ("__init__.py", "documents.py", "labels.py"))
+    assert commands[-1] == (f"  descend cert.json (exit 8): 3 modules, {read} code lines: "
+                            "__init__.py documents.py labels.py")
