@@ -10,7 +10,8 @@ Exit codes are a stable contract:
     6  even-eight refutation
     7  effectivity refutation
     8  descent input not certified: the recorded verdict, or the run rebuilt
-       from the certificate's inputs, does not certify (or the file is missing)
+       from the certificate's inputs, does not certify (or the file is missing
+       or cannot be read)
     9  certificate integrity failure (not JSON, digest mismatch, unreadable
        inputs, or a certified rebuild whose body differs from the recorded one)
     1  generic check failure in lattice subcommands
@@ -227,28 +228,32 @@ def _cmd_lattice(args) -> int:
 def _cmd_descend(args) -> int:
     from . import documents
     try:
-        document = documents.load_certificate_document(args.certificate)
+        try:
+            document = documents.load_certificate_document(args.certificate)
+        except FileNotFoundError:
+            print(f"certificate file {args.certificate!r} not found", file=sys.stderr)
+            return EXIT_UNCERTIFIED
+        except OSError as exc:
+            print(f"certificate file {args.certificate!r} cannot be read: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_UNCERTIFIED
         documents.certified_body(document)
         from . import cohomology
         report = cohomology.descend_from_document(document)
-    except FileNotFoundError:
-        print(f"certificate file {args.certificate!r} not found", file=sys.stderr)
-        return EXIT_UNCERTIFIED
     except documents.CertificateIntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
     except documents.UncertifiedCertificateError as exc:
         print(f"descent error: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    for name, cover, quotient in report.halving:
+    for name, cover, quotient in report["halving"]:
         print(f"  {name}: {cover} on the cover -> {quotient} on the quotient")
-    print(f"  chi of the quotient polarization: {report.chi_polarization}")
-    print(f"  h0 of the quotient polarization: {report.h0_polarization}"
-          f" (degree-{report.plane_cover_degree} cover of the plane)")
-    print(f"  conclusion: {report.conclusion}")
+    print(f"  chi of the quotient polarization: {report['chi_polarization']}")
+    print(f"  h0 of the quotient polarization: {report['h0_polarization']}"
+          f" (degree-{report['plane_cover_degree']} cover of the plane)")
+    print(f"  conclusion: {report['conclusion']}")
     if args.out:
-        documents.write_json_atomic(
-            args.out, cohomology.report_document(report, document.get("digest")))
+        documents.write_json_atomic(args.out, documents._document(documents.REPORT_FORMAT, report))
     return EXIT_OK
 
 

@@ -14,20 +14,21 @@ The certificate chain is: node verification, numerical conditions,
 even-eight shape detection, involution invariance, then the two
 effectivity values; the verdict is ``certified`` only if every step passes.
 
-This module builds the certificate body and the descent report; the
-document around a body (header, digest, atomic write, reading it back and
-the verdict rule) is ``documents``, which loads no math layer.
+This module builds the certificate body and holds the trust rule of
+``descend``: rebuild a certified body from its inputs, then conclude with
+the report that ``enriques.descent_report`` builds. The document around a
+body (header, digest, atomic write, reading it back and the verdict rule) is
+``documents``, which loads no math layer.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 
 from . import __version__ as TOOL_VERSION, _checked_make
-from .documents import (CERTIFICATE_FORMAT, REPORT_FORMAT, CertificateIntegrityError,
+from .documents import (CERTIFICATE_FORMAT, CertificateIntegrityError,
                         UncertifiedCertificateError, _canonical, _digest, _document,
                         certified_body, write_json_atomic)
-from .enriques import (JUSTIFICATIONS, DescentInference, EnriquesClass, chi_enriques, halve,
-                       ulrich_transfer)
+from .enriques import JUSTIFICATIONS, descent_report
 from .fields import QQ, PrimeField
 from .kummer import Genus2Curve, read_quartic, verify_sixteen_nodes
 from .labels import node_token
@@ -335,14 +336,10 @@ def write_certificate(path, cert: UlrichCertificate) -> dict:
 # Descent to the quotient surface
 # ---------------------------------------------------------------------------
 
-class EnriquesReport(namedtuple("EnriquesReport", "classes chi_polarization h0_polarization "
-                                                 "plane_cover_degree halving inferences conclusion")):
-    __slots__ = ()
-
-
-def descend_to_enriques(cert: UlrichCertificate) -> EnriquesReport:
+def descend_to_enriques(cert: UlrichCertificate) -> dict:
     """Transfer a certified cover-side certificate down the double cover,
-    under the same rule as a certificate read from a file."""
+    under the same rule as a certificate read from a file; the report body
+    that ``descend --out`` writes."""
     return descend_from_document(certificate_document(cert))
 
 
@@ -374,7 +371,7 @@ def _leaves(value, path="body") -> dict:
             for leaf, text in _leaves(item, f"{path}.{key}").items()}
 
 
-def descend_from_document(document: dict) -> EnriquesReport:
+def descend_from_document(document: dict) -> dict:
     """The quotient-side report of a certificate document, under one rule:
     rebuild the body from its inputs, then conclude.
 
@@ -385,7 +382,9 @@ def descend_from_document(document: dict) -> EnriquesReport:
     reason and failing check; a certified run whose body differs from the
     recorded one is ``CertificateIntegrityError`` naming the first field
     that differs, as are inputs that cannot be read or run. The report is
-    computed from the rebuilt certificate.
+    ``enriques.descent_report`` of the rebuilt certificate, headed by the
+    digest of the body it was rebuilt from: the body that ``descend --out``
+    writes.
     """
     body = certified_body(document)
     cert = _rebuild(body)
@@ -399,54 +398,6 @@ def descend_from_document(document: dict) -> EnriquesReport:
         where = next((path for path in {**rebuilt, **recorded}
                       if recorded.get(path) != rebuilt.get(path)), "body")
         raise CertificateIntegrityError(f"certificate body differs from its rebuilt run at {where}")
-    h = polarization()
-    m = cert.recipe.divisor()
-    h_square, m_dot_h, m_square = int(pairing(h, h)), int(pairing(m, h)), int(pairing(m, m))
-    hy2 = halve(h_square)
-    n_dot_h = halve(m_dot_h)
-    n2 = halve(m_square)
-    classes = (
-        EnriquesClass("H_Y", hy2, hy2),
-        EnriquesClass("N", n2, n_dot_h),
-        EnriquesClass("N+K_Y", n2, n_dot_h),
-    )
-    chi_h = chi_enriques(hy2)
-    inferences = tuple(ulrich_transfer()) + (
-        DescentInference(
-            premise=f"chi(H_Y) = 1 + {hy2}/2 = {chi_h} and H_Y is ample and globally generated",
-            conclusion=f"h0(H_Y) = {chi_h}, so the polarization maps the surface "
-                       f"{hy2}:1 onto the plane",
-            justification="ample-no-higher-cohomology"),
-    )
-    return EnriquesReport(
-        classes=classes,
-        chi_polarization=chi_h,
-        h0_polarization=chi_h,
-        plane_cover_degree=hy2,
-        halving=(("H.H", h_square, hy2), ("M.H", m_dot_h, n_dot_h),
-                 ("M.M", m_square, n2)),
-        inferences=inferences,
-        conclusion="N and N+K_Y are Ulrich line bundles for H_Y",
-    )
-
-
-def report_document(report: EnriquesReport, certificate_digest: str | None = None) -> dict:
-    body = {
-        "certificate_digest": certificate_digest,
-        "classes": [
-            {"name": c.name, "self_intersection": c.self_intersection,
-             "dot_with_polarization": c.dot_with_h}
-            for c in report.classes
-        ],
-        "chi_polarization": report.chi_polarization,
-        "h0_polarization": report.h0_polarization,
-        "plane_cover_degree": report.plane_cover_degree,
-        "halving": [list(entry) for entry in report.halving],
-        "inferences": [
-            {"premise": inf.premise, "conclusion": inf.conclusion,
-             "justification": inf.justification}
-            for inf in report.inferences
-        ],
-        "conclusion": report.conclusion,
-    }
-    return _document(REPORT_FORMAT, body)
+    h, m = polarization(), cert.recipe.divisor()
+    return {"certificate_digest": _digest(body),
+            **descent_report(int(pairing(h, h)), int(pairing(m, h)), int(pairing(m, m)))}

@@ -3,7 +3,9 @@
 Intersection numbers on the quotient are the cover's numbers halved; the
 Euler characteristic of a class D on an Enriques surface is 1 + D^2/2. The
 torsion canonical class is tracked numerically only (it squares to zero and
-pairs to zero with everything). Conclusions that rest on standard geometry
+pairs to zero with everything). ``descent_report`` builds the one
+representation of the quotient-side report: the JSON body that ``descend``
+prints from and writes. Conclusions that rest on standard geometry
 rather than computation are recorded as inferences tagged with an identifier
 from a fixed whitelist, so a certificate consumer can see exactly which
 steps were computed and which were cited.
@@ -65,12 +67,6 @@ class DescentInference(namedtuple("DescentInference", "premise conclusion justif
         return super().__new__(cls, premise, conclusion, justification)
 
 
-class EnriquesClass(namedtuple("EnriquesClass", "name self_intersection dot_with_h")):
-    """Numerical shadow of a class on the quotient surface."""
-
-    __slots__ = ()
-
-
 def halve(x_pairing: int) -> int:
     """Transfer an intersection number down the degree-2 cover."""
     if x_pairing % 2:
@@ -104,3 +100,29 @@ def ulrich_transfer():
             conclusion="N and its canonical twist are Ulrich line bundles",
             justification="summand-ulrich"),
     ]
+
+
+def descent_report(h_square: int, m_dot_h: int, m_square: int) -> dict:
+    """The quotient-side report of a class M that is certified Ulrich and
+    invariant on the cover, from H.H, M.H and M.M there: the JSON body of an
+    ``enriques-report/1`` document, without its ``certificate_digest``."""
+    hy2, n_dot_h, n2 = halve(h_square), halve(m_dot_h), halve(m_square)
+    chi_h = chi_enriques(hy2)
+    inferences = ulrich_transfer() + [
+        DescentInference(
+            premise=f"chi(H_Y) = 1 + {hy2}/2 = {chi_h} and H_Y is ample and globally generated",
+            conclusion=f"h0(H_Y) = {chi_h}, so the polarization maps the surface "
+                       f"{hy2}:1 onto the plane",
+            justification="ample-no-higher-cohomology"),
+    ]
+    return {
+        "classes": [{"name": name, "self_intersection": square, "dot_with_polarization": dot}
+                    for name, square, dot in (("H_Y", hy2, hy2), ("N", n2, n_dot_h),
+                                              ("N+K_Y", n2, n_dot_h))],
+        "chi_polarization": chi_h,
+        "h0_polarization": chi_h,
+        "plane_cover_degree": hy2,
+        "halving": [["H.H", h_square, hy2], ["M.H", m_dot_h, n_dot_h], ["M.M", m_square, n2]],
+        "inferences": [inference._asdict() for inference in inferences],
+        "conclusion": "N and N+K_Y are Ulrich line bundles for H_Y",
+    }

@@ -49,16 +49,26 @@ def _integral(doubled) -> int:
     return int(doubled)
 
 
+def _rational(x):
+    """A coefficient or scalar, which must be an int (bool included) or a Fraction."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"a divisor coefficient must be an int or a Fraction, "
+                        f"not {type(x).__name__}")
+    return x
+
+
 class DivisorClass:
     """An element of the Picard Q-space; coefficients have denominator 1 or 2.
 
     ``doubled`` holds twice the coefficients in the basis BASIS, as integers.
+    Coefficients and scalars are ints or ``Fraction``s; anything else, a
+    string or a float included, is a ``TypeError``.
     """
 
     __slots__ = ("doubled",)
 
     def __init__(self, coeffs):
-        doubled = tuple(_integral(2 * Fraction(c)) for c in coeffs)
+        doubled = tuple(_integral(2 * _rational(c)) for c in coeffs)
         if len(doubled) != RANK:
             raise ValueError(f"expected {RANK} coefficients")
         self.doubled = doubled
@@ -79,7 +89,7 @@ class DivisorClass:
         return DivisorClass.from_doubled(-a for a in self.doubled)
 
     def __rmul__(self, scalar):
-        return DivisorClass.from_doubled(_integral(Fraction(scalar) * a) for a in self.doubled)
+        return DivisorClass.from_doubled(_integral(_rational(scalar) * a) for a in self.doubled)
 
     def __eq__(self, other):
         return isinstance(other, DivisorClass) and other.doubled == self.doubled

@@ -11,7 +11,7 @@ import pytest
 
 import ulrichcert
 from ulrichcert import cli, kummer
-from ulrichcert.cohomology import write_certificate
+from ulrichcert.cohomology import descend_to_enriques, write_certificate
 
 DEFAULT_LABELS = "E0, E16, E26, E36, E46, E56, E12, E13, E14, E15, E24, E35"
 SWAPPED_LABELS = "E0, E16, E26, E36, E46, E56, E12, E13, E14, E15, E25, E35"
@@ -299,6 +299,32 @@ def test_descend_on_certified_certificate(tmp_path, capsys, certified_path):
     assert names == ["H_Y", "N", "N+K_Y"]
 
 
+# canonical SHA-256 of the report body that descend writes for the GF(32003)
+# reference run
+REPORT_BODY_DIGEST = "725f42ea27b61adc8694d57b080569ffeb1bf67a363b6ae8f5effaeb4d1753a4"
+
+
+def test_descend_writes_the_report_it_returns(tmp_path, capsys, certified, certified_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["descend", str(certified_path), "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["body"] == descend_to_enriques(certified)
+
+
+def test_descend_report_body_digest(tmp_path, capsys, certified_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["descend", str(certified_path), "--out", str(out)]) == cli.EXIT_OK
+    canonical = json.dumps(json.loads(out.read_text())["body"], sort_keys=True,
+                           separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == REPORT_BODY_DIGEST
+
+
+def test_descend_out_in_missing_directory_is_a_configuration_error(tmp_path, capsys,
+                                                                   certified_path):
+    out = tmp_path / "missing" / "report.json"
+    assert cli.main(["descend", str(certified_path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert repr(str(out)) in capsys.readouterr().err
+
+
 def test_descend_on_refuted_certificate(tmp_path, capsys):
     out = tmp_path / "cert.json"
     cli.main(["certify", "--paper-defaults", "--out", str(out)])
@@ -319,7 +345,10 @@ def test_nodes_leaves_the_configured_certificate_alone(tmp_path, capsys):
 
 
 def test_descend_on_missing_file(tmp_path, capsys):
+    """A certificate path that is missing, or that names a directory, exits 8."""
     assert cli.main(["descend", str(tmp_path / "nope.json")]) == cli.EXIT_UNCERTIFIED
+    assert cli.main(["descend", str(tmp_path)]) == cli.EXIT_UNCERTIFIED
+    assert f"certificate file {str(tmp_path)!r} cannot be read: " in capsys.readouterr().err
 
 
 def test_descend_on_tampered_certificate(tmp_path, capsys, certified_path):

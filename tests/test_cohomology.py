@@ -390,26 +390,30 @@ def test_check_record_rejects_unknown_justification_tag():
 
 def test_descend_report_numbers(certified):
     report = descend_to_enriques(certified)
-    by_name = {c.name: c for c in report.classes}
-    assert by_name["H_Y"].self_intersection == 4
-    assert by_name["N"].self_intersection == 6
-    assert by_name["N"].dot_with_h == 6
-    assert by_name["N+K_Y"].self_intersection == 6
-    assert report.chi_polarization == 3
-    assert report.h0_polarization == 3
-    assert report.plane_cover_degree == 4
-    assert "Ulrich" in report.conclusion
-    assert report.halving == (("H.H", 8, 4), ("M.H", 12, 6), ("M.M", 12, 6))
-    justifications = [inf.justification for inf in report.inferences]
+    by_name = {c["name"]: c for c in report["classes"]}
+    assert by_name["H_Y"]["self_intersection"] == 4
+    assert by_name["N"]["self_intersection"] == 6
+    assert by_name["N"]["dot_with_polarization"] == 6
+    assert by_name["N+K_Y"]["self_intersection"] == 6
+    assert report["chi_polarization"] == 3
+    assert report["h0_polarization"] == 3
+    assert report["plane_cover_degree"] == 4
+    assert "Ulrich" in report["conclusion"]
+    assert report["halving"] == [["H.H", 8, 4], ["M.H", 12, 6], ["M.M", 12, 6]]
+    justifications = [inf["justification"] for inf in report["inferences"]]
     assert justifications[:3] == ["invariant-lattice-descent",
                                   "etale-pushforward-ulrich", "summand-ulrich"]
 
 
 def test_descend_from_document(tmp_path, certified):
     path = tmp_path / "cert.json"
-    write_certificate(path, certified)
+    document = write_certificate(path, certified)
     report = descend_from_document(load_certificate_document(path))
-    assert report.halving[0] == ("H.H", 8, 4)
+    assert report["certificate_digest"] == document["digest"]
+    assert report["halving"][0] == ["H.H", 8, 4]
+    # the report names the digest of the body it rebuilt, not a stale one
+    stale = dict(document, digest="0" * 64)
+    assert descend_from_document(stale)["certificate_digest"] == document["digest"]
 
 
 def test_descend_names_the_check_a_certified_body_misstates(certified):

@@ -1,12 +1,12 @@
 import pytest
 
-from ulrichcert.enriques import (DescentInference, EnriquesClass, JUSTIFICATIONS,
-                                 chi_enriques, halve, ulrich_transfer)
+from ulrichcert.enriques import (DescentInference, JUSTIFICATIONS, chi_enriques, halve,
+                                 ulrich_transfer)
 from ulrichcert.picard import chi_k3, default_recipe, polarization
 
 
 def test_chi_of_polarization():
-    assert chi_enriques(EnriquesClass("H_Y", 4, 4).self_intersection) == 3
+    assert chi_enriques(4) == 3
 
 
 def test_chi_of_trivial_class():

@@ -286,6 +286,17 @@ def test_divisor_class_denominators():
         DivisorClass((1, 2, 3))
 
 
+@pytest.mark.parametrize("value", ["1/2", "3", 0.5, 3.0], ids=repr)
+def test_divisor_class_reads_only_ints_and_fractions(value):
+    """Strings and floats are refused as coefficients and as scalars; the
+    constructor once read "1/2" as 1/2 and 0.5 * L was L/2."""
+    with pytest.raises(TypeError, match=f"not {type(value).__name__}$"):
+        DivisorClass((value,) + (0,) * 16)
+    with pytest.raises(TypeError):
+        value * L
+    assert DivisorClass((Fraction(1, 2), True) + (0,) * 15) == Fraction(1, 2) * L + node_class(NODE_LABELS[0])
+
+
 def test_recipe_validation():
     with pytest.raises(ValueError, match="^unknown recipe kind 'unknown'$"):
         BundleRecipe(kind="unknown")

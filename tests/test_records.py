@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from ulrichcert.cli import RunConfig
-from ulrichcert.cohomology import CheckRecord, EnriquesReport, UlrichCertificate
-from ulrichcert.enriques import DescentInference, EnriquesClass
+from ulrichcert.cohomology import CheckRecord, UlrichCertificate
+from ulrichcert.enriques import DescentInference
 from ulrichcert.fields import PrimeField
 from ulrichcert.groebner import GroebnerBasis
 from ulrichcert.kummer import Genus2Curve, NodeVerification
@@ -28,9 +28,7 @@ IMMUTABLE = {
     BundleRecipe: (HALF_EVEN_EIGHT, ((1, 2), (3, 4))),
     GroebnerBasis: ((RING.variable(0),),),
     DescentInference: ("p", "c", "summand-ulrich"),
-    EnriquesClass: ("N", 6, 6),
     CheckRecord: ("n", "doubling+lattice-arithmetic", {"degree": 2}, {"h0": 0}, True),
-    EnriquesReport: ((EnriquesClass("N", 6, 6),), 3, 3, 4, (("H.H", 8, 4),), (), "c"),
 }
 # records with a dict field are unhashable, as before
 HASHABLE = set(IMMUTABLE) - {NodeVerification, GroebnerBasis, CheckRecord}
