@@ -7,11 +7,13 @@ package totals; one line per module follows, in path order, so a change
 shows where its lines moved.
 
 Then one line per command shape that the benchmark and CI run: its exit
-code, and the package modules, besides ``cli.py``, that a fresh interpreter
-running it loads, with their code lines. A process without a bytecode cache
-compiles every module it loads, so this is the repeatable count of a cold
-command's import work. ``descend`` reads the refuted certificate that
-``certify --paper-defaults`` writes. Standard library only::
+code, the package modules, besides ``cli.py``, that a fresh interpreter
+running it loads, with their code lines, and the standard-library modules it
+adds over an interpreter that has only started and imported what the probe
+itself uses. A process without a bytecode cache compiles every package
+module it loads, so this is the repeatable count of a cold command's import
+work. ``descend`` reads the refuted certificate that ``certify
+--paper-defaults`` writes. Standard library only::
 
     python scripts/source_lines.py
 """
@@ -38,11 +40,16 @@ COMMANDS = (
     ("lattice", "horikawa"),
     ("descend", "cert.json"),
 )
+# the probe's own imports, then the module names a bare interpreter has
+BARE = """import contextlib, io, sys
+print(*sys.modules)
+"""
 PROBE = """import contextlib, io, sys
 import ulrichcert.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     status = ulrichcert.cli.main(sys.argv[1:])
 print(status)
+print(*sys.modules)
 for name, module in sys.modules.items():
     if name.startswith("ulrichcert"):
         print(module.__file__)
@@ -71,15 +78,23 @@ def count(path: pathlib.Path):
     return len(lines), code
 
 
-def loaded_modules(argv, directory) -> tuple:
-    """Exit code of ``argv`` run in a fresh interpreter in ``directory``, and
-    the package modules besides ``cli.py`` that it loads, in path order."""
-    run = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=directory, check=True,
+def probe(script, argv, directory) -> list:
+    """The stdout lines of ``script`` run with ``argv`` in a fresh interpreter
+    in ``directory``, with the package on the path."""
+    run = subprocess.run([sys.executable, "-c", script, *argv], cwd=directory, check=True,
                          env=dict(os.environ, PYTHONPATH=str(SOURCE.parent)),
                          capture_output=True, text=True)
-    status, *files = run.stdout.splitlines()
+    return run.stdout.splitlines()
+
+
+def loaded_modules(argv, directory, bare) -> tuple:
+    """Exit code of ``argv`` run in a fresh interpreter in ``directory``, the
+    package modules besides ``cli.py`` that it loads, in path order, and the
+    other modules it adds to the set ``bare``, sorted by name."""
+    status, names, *files = probe(PROBE, argv, directory)
     modules = sorted(pathlib.Path(f).relative_to(SOURCE) for f in files)
-    return int(status), [m for m in modules if m != pathlib.Path("cli.py")]
+    added = sorted(n for n in set(names.split()) - bare if n.partition(".")[0] != "ulrichcert")
+    return int(status), [m for m in modules if m != pathlib.Path("cli.py")], added
 
 
 def main() -> None:
@@ -90,11 +105,13 @@ def main() -> None:
         print(f"  {module}: {t} lines, {c} code lines")
     print("modules that each command loads besides cli.py, in a fresh interpreter:")
     with tempfile.TemporaryDirectory() as directory:
+        bare = set(probe(BARE, (), directory)[0].split())
         for argv in COMMANDS:
-            status, modules = loaded_modules(argv, directory)
+            status, modules, added = loaded_modules(argv, directory, bare)
             print(f"  {' '.join(argv)} (exit {status}): {len(modules)} modules, "
                   f"{sum(counts[m][1] for m in modules)} code lines: "
-                  + " ".join(map(str, modules)))
+                  + " ".join(map(str, modules))
+                  + f"; standard library +{len(added)}: " + " ".join(added))
 
 
 if __name__ == "__main__":

@@ -28,11 +28,17 @@ for a body that records ``certified``.
 
 ``nodes`` writes a report only where ``--out`` names one; a configuration's
 ``[output] path`` names the certificate that ``certify`` writes.
+
+The command line is read against one table, ``COMMANDS``, rather than with
+``argparse``, which with ``gettext`` and ``locale`` would cost every cold
+call a few milliseconds. Flags are spelled in full. ``-h`` or ``--help``
+prints the usage to stdout and exits 0; a command line the table does not
+admit prints the usage and the error to stderr and exits 2.
 """
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .labels import (DEFAULT_PRIME, DEFAULT_ROOTS, DEFAULT_TWELVE, TWELVE_NODES, node_token,
                      parse_number, trope_token)
@@ -80,7 +86,7 @@ class RunConfig:
 
 def load_config(path: str) -> RunConfig:
     import configparser
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -215,14 +221,13 @@ def _cmd_lattice(args) -> int:
         print("  columns: " + " ".join(trope_token(t) for t in picard.TROPE_LABELS))
         print(f"  every row and column sums to six: {'pass' if valid else 'FAIL'}")
         return EXIT_OK if valid else EXIT_FAILURE
-    if sub == "even-eights":
-        positives = picard.default_even_eight_tester().sweep()
-        closed = all(frozenset(set(picard.NODE_LABELS) - s) in set(positives)
-                     for s in positives)
-        print(f"  positive eight-subsets: {len(positives)} of 12870")
-        print(f"  closed under complementation: {'pass' if closed else 'FAIL'}")
-        return EXIT_OK if closed else EXIT_FAILURE
-    raise ValueError(f"unknown lattice check {sub!r}")
+    # even-eights: the reader admits only the checks of LATTICE_CHECKS
+    positives = picard.default_even_eight_tester().sweep()
+    closed = all(frozenset(set(picard.NODE_LABELS) - s) in set(positives)
+                 for s in positives)
+    print(f"  positive eight-subsets: {len(positives)} of 12870")
+    print(f"  closed under complementation: {'pass' if closed else 'FAIL'}")
+    return EXIT_OK if closed else EXIT_FAILURE
 
 
 def _cmd_descend(args) -> int:
@@ -257,46 +262,89 @@ def _cmd_descend(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ulrichcert",
-        description="Exact certification of an Ulrich line bundle on a "
-                    "sixteen-nodes quartic cover of a degree-four quotient surface")
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: ulrichcert nodes   (--config PATH | --paper-defaults) [--prime P] [--out PATH]
+       ulrichcert certify (--config PATH | --paper-defaults) [--prime P] [--out PATH]
+       ulrichcert lattice theta-check | incidence | even-eights | horikawa
+       ulrichcert descend CERTIFICATE [--out PATH]
+       ulrichcert -h | --help"""
 
-    def add_config_flags(p):
-        p.add_argument("--config", help="path to a key-value configuration file")
-        p.add_argument("--paper-defaults", action="store_true",
-                       help="use the built-in reference configuration")
-        p.add_argument("--prime", default=None,
-                       help="override the coefficient field prime")
-        p.add_argument("--out", default=None, help="output file path")
+# command -> (positionals, flags that take a value, flags that take none);
+# each is read into the attribute of its name. ``main`` looks ``_cmd_<command>``
+# up when it runs, so a wrapper set on the module after import is the one called
+_CONFIG_FLAGS = (("--config", "--prime", "--out"), ("--paper-defaults",))
+COMMANDS = {
+    "nodes": ((), *_CONFIG_FLAGS),
+    "certify": ((), *_CONFIG_FLAGS),
+    "lattice": (("check",), (), ()),
+    "descend": (("certificate",), ("--out",), ()),
+}
+LATTICE_CHECKS = ("theta-check", "incidence", "even-eights", "horikawa")
+HELP = ("-h", "--help")
 
-    nodes = sub.add_parser("nodes", help="print and verify the sixteen node points")
-    add_config_flags(nodes)
-    nodes.set_defaults(func=_cmd_nodes)
 
-    certify = sub.add_parser("certify", help="run the full certification chain")
-    add_config_flags(certify)
-    certify.set_defaults(func=_cmd_certify)
+class UsageError(Exception):
+    """A command line that the table does not admit."""
 
-    lattice = sub.add_parser("lattice", help="lattice-only checks, no geometry needed")
-    lattice.add_argument("check", choices=("theta-check", "incidence",
-                                           "even-eights", "horikawa"))
-    lattice.set_defaults(func=_cmd_lattice)
 
-    descend = sub.add_parser("descend", help="emit the quotient-surface report")
-    descend.add_argument("certificate", help="path to a certified certificate JSON")
-    descend.add_argument("--out", default=None, help="report output path")
-    descend.set_defaults(func=_cmd_descend)
-    return parser
+def parse_args(argv) -> SimpleNamespace | None:
+    """The command line as a namespace, or None where it asks for help.
+
+    Flags are spelled in full, as ``--flag value`` or ``--flag=value``, before
+    or after the positionals; a repeated flag keeps its last value. Every
+    token that starts with ``-`` is a flag, so no value or positional does.
+    """
+    if not argv:
+        raise UsageError("a command is required")
+    command, *rest = argv
+    if command in HELP:
+        return None
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}")
+    positionals, valued, switches = COMMANDS[command]
+    values = {flag[2:].replace("-", "_"): None for flag in valued}
+    values.update((flag[2:].replace("-", "_"), False) for flag in switches)
+    given = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in HELP:
+            return None
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag in switches:
+            if eq:
+                raise UsageError(f"flag {flag} takes no value")
+            value = True
+        elif flag not in valued:
+            raise UsageError(f"unknown flag {flag!r} for {command}")
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                raise UsageError(f"flag {flag} needs a value")
+        values[flag[2:].replace("-", "_")] = value
+    if len(given) != len(positionals):
+        raise UsageError(f"{command} takes {len(positionals)} positional argument(s) "
+                         f"({' '.join(positionals) or 'none'}), got {len(given)}")
+    values.update(zip(positionals, given))
+    if command == "lattice" and values["check"] not in LATTICE_CHECKS:
+        raise UsageError(f"unknown lattice check {values['check']!r}; "
+                         f"choose from {', '.join(LATTICE_CHECKS)}")
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"{USAGE}\nulrichcert: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args is None:
+        print(USAGE)
+        return EXIT_OK
+    try:
+        return globals()[f"_cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,6 +12,7 @@ a certificate before it loads the certify chain.
 from __future__ import annotations
 
 import os
+import time
 
 from . import __version__ as TOOL_VERSION
 
@@ -28,8 +29,8 @@ class CertificateIntegrityError(Exception):
     """A serialized certificate failed its digest check."""
 
 
-# json, hashlib (which maps OpenSSL) and datetime are imported on use, so a
-# process that writes and reads no document does not load them
+# json and hashlib (which maps OpenSSL) are imported on use, so a process
+# that writes and reads no document does not load them
 
 def _canonical(obj) -> str:
     import json
@@ -42,12 +43,16 @@ def _digest(obj) -> str:
 
 
 def _document(fmt: str, body: dict) -> dict:
-    """A serialized document: format, detachable header, body and its digest."""
-    import datetime
+    """A serialized document: format, detachable header, body and its digest.
+
+    ``header.created`` is the UTC time as ``YYYY-MM-DDTHH:MM:SS.ffffff+00:00``,
+    read from ``time``, which the interpreter has loaded, not ``datetime``."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
     return {
         "format": fmt,
         "header": {
-            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+                       + f".{micros:06d}+00:00",
             "tool": f"{TOOL_NAME} {TOOL_VERSION}",
         },
         "body": body,

@@ -23,7 +23,6 @@ from its L value and node values, ``doubled_support`` reads them back, and
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 import functools
 
 from . import _checked_make
@@ -41,19 +40,28 @@ _GRAM_DIAG = (4,) + (-2,) * 16
 _GRAM = tuple(tuple(g * x for x in row) for g, row in zip(_GRAM_DIAG, identity(RANK)))
 
 
-def _integral(doubled) -> int:
-    """An exact doubled coefficient as an int; the coefficient itself, half of
-    it, must have denominator 1 or 2."""
-    if doubled.denominator != 1:
-        raise ValueError(f"coefficient {doubled / 2} has denominator outside {{1, 2}}")
-    return int(doubled)
+# fractions (and decimal, which it loads) is imported only where a Fraction
+# is built or checked, so the integer lattice checks never load it
+
+def _integral(doubled, scale=1) -> int:
+    """An exact doubled coefficient, ``doubled / scale``, as an int; the
+    coefficient itself, half of it, must have denominator 1 or 2."""
+    numerator, denominator = doubled.as_integer_ratio()
+    whole, rest = divmod(numerator, denominator * scale)
+    if rest:
+        from fractions import Fraction
+        raise ValueError(f"coefficient {Fraction(numerator, 2 * denominator * scale)} "
+                         f"has denominator outside {{1, 2}}")
+    return whole
 
 
 def _rational(x):
     """A coefficient or scalar, which must be an int (bool included) or a Fraction."""
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"a divisor coefficient must be an int or a Fraction, "
-                        f"not {type(x).__name__}")
+    if not isinstance(x, int):
+        from fractions import Fraction
+        if not isinstance(x, Fraction):
+            raise TypeError(f"a divisor coefficient must be an int or a Fraction, "
+                            f"not {type(x).__name__}")
     return x
 
 
@@ -139,6 +147,7 @@ def polarization() -> DivisorClass:
 
 
 def pairing(a: DivisorClass, b: DivisorClass) -> Fraction:
+    from fractions import Fraction
     return Fraction(sum(g * x * y for g, x, y in zip(_GRAM_DIAG, a.doubled, b.doubled)), 4)
 
 
@@ -192,8 +201,7 @@ class Involution(ScaledInvolution):
         super().__init__(transpose([c.doubled for c in columns]), _GRAM, 2)
 
     def apply(self, d: DivisorClass) -> DivisorClass:
-        return DivisorClass.from_doubled(
-            _integral(Fraction(x, 2)) for x in matvec(self.matrix, d.doubled))
+        return DivisorClass.from_doubled(_integral(x, 2) for x in matvec(self.matrix, d.doubled))
 
 
 def build_theta_star() -> Involution:
@@ -396,6 +404,7 @@ def parse_divisor(text: str) -> DivisorClass:
     T126..T456; trope tokens are normalized into the standard basis. Each
     coefficient is an integer or fraction in ASCII digits.
     """
+    from fractions import Fraction
     total = zero_class()
     for term in split_terms(text, "divisor expression"):
         parts = term.lstrip("+-").split("*")

@@ -1,3 +1,4 @@
+import datetime
 import functools
 import hashlib
 import json
@@ -264,6 +265,76 @@ def test_lattice_subcommands(capsys):
     assert "signature: (1, 9)" in output
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "a command is required"),
+    (["bogus"], "unknown command 'bogus'"),
+    (["certify", "--paper-defaults", "--bogus", "x"], "unknown flag '--bogus' for certify"),
+    (["certify", "--paper"], "unknown flag '--paper' for certify"),
+    (["lattice", "horikawa", "--out", "x"], "unknown flag '--out' for lattice"),
+    (["certify", "--paper-defaults", "--out"], "flag --out needs a value"),
+    (["nodes", "--config", "--paper-defaults"], "flag --config needs a value"),
+    (["nodes", "--paper-defaults", "--prime", "-7"], "flag --prime needs a value"),
+    (["nodes", "--paper-defaults=yes"], "flag --paper-defaults takes no value"),
+    (["lattice", "nope"], "unknown lattice check 'nope'"),
+    (["lattice"], "lattice takes 1 positional argument(s) (check), got 0"),
+    (["lattice", "horikawa", "incidence"],
+     "lattice takes 1 positional argument(s) (check), got 2"),
+    (["descend"], "descend takes 1 positional argument(s) (certificate), got 0"),
+    (["nodes", "--paper-defaults", "extra"], "nodes takes 0 positional argument(s) (none), got 1"),
+], ids=["no-command", "unknown-command", "unknown-flag", "abbreviated-flag",
+        "flag-of-another-command", "flag-without-value", "flag-followed-by-flag",
+        "dash-value", "switch-with-value", "unknown-lattice-check", "missing-positional",
+        "extra-positional", "missing-certificate", "positional-for-nodes"])
+def test_usage_errors_return_exit_two_with_usage_on_stderr(capsys, argv, message):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(cli.USAGE + "\n")
+    assert f"ulrichcert: error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["certify", "-h"],
+                                  ["descend", "--help"], ["lattice", "--help"],
+                                  ["nodes", "--paper-defaults", "--help"]])
+def test_help_prints_the_usage_and_returns_zero(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr() == (cli.USAGE + "\n", "")
+
+
+def test_usage_names_every_command_flag_and_lattice_check():
+    for command, (positionals, valued, switches) in cli.COMMANDS.items():
+        assert f"ulrichcert {command} " in cli.USAGE
+        assert all(flag in cli.USAGE for flag in valued + switches)
+    assert all(check in cli.USAGE for check in cli.LATTICE_CHECKS)
+
+
+def test_flags_take_an_equals_value_before_or_after_positionals(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert cli.main(["certify", f"--out={out}", "--paper-defaults"]) == cli.EXIT_EFFECTIVITY
+    assert json.loads(out.read_text())["body"]["verdict"] == "refuted"
+    capsys.readouterr()
+    assert cli.main(["descend", "--out", str(tmp_path / "r.json"), str(out)]) == \
+        cli.EXIT_UNCERTIFIED
+    assert "certificate verdict is 'refuted'" in capsys.readouterr().err
+    # a repeated flag keeps its last value: prime 5 fails the node check, 7 passes
+    assert cli.main(["nodes", "--paper-defaults", "--prime", "5", "--prime=7"]) == cli.EXIT_OK
+
+
+def test_descend_takes_out_before_the_certificate(tmp_path, capsys, certified_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["descend", "--out", str(out), str(certified_path)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["body"]["h0_polarization"] == 3
+
+
+def test_handlers_are_looked_up_when_main_runs(monkeypatch):
+    """A wrapper installed on the module after import is the one that runs,
+    and a lattice check's arguments carry ``.check``."""
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_lattice", lambda args: seen.append(args.check) or 0)
+    assert cli.main(["lattice", "horikawa"]) == cli.EXIT_OK
+    assert seen == ["horikawa"]
+
+
 @pytest.fixture
 def certified_path(tmp_path, certified):
     """The stub-certified reference certificate, written to a file."""
@@ -367,6 +438,23 @@ def test_config_file_round_trip(tmp_path):
     assert len(cfg.recipe_labels) == 12
     assert cfg.out_path == "somewhere.json"
     assert cfg.quartic().total_degree() == 4
+
+
+def test_readme_sample_config_certifies_like_paper_defaults(tmp_path, capsys):
+    """The README's INI block, read verbatim: its ``; or ...`` comments once
+    became part of the corpus name and the recipe, so the run exited 2."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sample = re.search(r"^```ini\n(.*?)^```$", readme, re.M | re.S).group(1)
+    assert "; or inline:" in sample
+    cfg = tmp_path / "sample.cfg"
+    cfg.write_text(sample)
+    bodies = []
+    for flags in (["--config", str(cfg)], ["--paper-defaults"]):
+        out = tmp_path / f"{len(bodies)}.json"
+        assert cli.main(["certify", *flags, "--out", str(out)]) == cli.EXIT_EFFECTIVITY
+        bodies.append(json.loads(out.read_text())["body"])
+    assert bodies[0] == bodies[1]
+    assert cli.main(["nodes", "--config", str(cfg)]) == cli.EXIT_OK
 
 
 def test_unreadable_config_rejected(tmp_path):
@@ -532,9 +620,15 @@ def test_version_matches_package_metadata():
 LAYERS = {"cohomology", "enriques", "fields", "groebner", "kummer", "lattices", "linalg",
           "picard", "polynomials"}
 CERTIFY_CHAIN = {"kummer", "groebner", "polynomials", "cohomology"}
-# stdlib modules that only writing or reading a document needs; dataclasses
-# is used nowhere
-SERIALIZATION = {"dataclasses", "hashlib", "json", "datetime"}
+# stdlib modules that only writing or reading a document needs
+SERIALIZATION = {"hashlib", "json"}
+# stdlib modules that no command loads: the command line is read without
+# argparse (which brings gettext and locale), the header timestamp comes from
+# time, and the records are named tuples or plain classes
+UNUSED = {"argparse", "gettext", "locale", "datetime", "dataclasses"}
+# loaded only where a Fraction is built: the integer lattice checks and a
+# refused descend never load them
+FRACTIONS = {"fractions", "decimal"}
 
 
 def modules_loaded_by(argv, module="ulrichcert.cli", cwd=None):
@@ -576,24 +670,27 @@ def refuted_dir(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv, exit_code, needed, absent", [
-    (None, None, set(), LAYERS | SERIALIZATION),
-    (["lattice", "horikawa"], 0, {"lattices"}, {"picard"} | CERTIFY_CHAIN | SERIALIZATION),
-    (["lattice", "theta-check"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION),
-    (["lattice", "incidence"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION),
-    (["lattice", "even-eights"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION),
+    (None, None, set(), LAYERS | SERIALIZATION | FRACTIONS),
+    (["lattice", "horikawa"], 0, {"lattices"},
+     {"picard"} | CERTIFY_CHAIN | SERIALIZATION | FRACTIONS),
+    (["lattice", "theta-check"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION | FRACTIONS),
+    (["lattice", "incidence"], 0, {"picard", "fractions"}, CERTIFY_CHAIN | SERIALIZATION),
+    (["lattice", "even-eights"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION | FRACTIONS),
     (["nodes", "--paper-defaults"], 0, {"kummer", "fields", "linalg"},
      {"cohomology", "picard"} | SERIALIZATION),
     (["nodes", "--paper-defaults", "--out", "nodes.json"], 0, {"kummer", "documents", "json"},
      {"cohomology", "picard", "enriques"}),
-    (["descend", "refuted.json"], 8, {"documents"}, LAYERS),
-    (["descend", "wrong-digest.json"], 9, {"documents"}, LAYERS),
+    (["descend", "refuted.json"], 8, {"documents"}, LAYERS | FRACTIONS),
+    (["descend", "wrong-digest.json"], 9, {"documents"}, LAYERS | FRACTIONS),
+    (["lattice", "nope"], 2, set(), LAYERS | SERIALIZATION | FRACTIONS),
+    (["--help"], 0, set(), LAYERS | SERIALIZATION | FRACTIONS),
 ], ids=["import", "horikawa", "theta-check", "incidence", "even-eights", "nodes", "nodes-out",
-        "descend-refuted", "descend-wrong-digest"])
+        "descend-refuted", "descend-wrong-digest", "usage-error", "help"])
 def test_each_command_imports_only_its_layers(refuted_dir, argv, exit_code, needed, absent):
     status, loaded = modules_loaded_by(argv, cwd=refuted_dir)
     assert status == exit_code
     assert needed <= loaded
-    assert not loaded & absent, sorted(loaded & absent)
+    assert not loaded & (absent | UNUSED), sorted(loaded & (absent | UNUSED))
 
 
 @pytest.mark.parametrize("verdict", ["refuted", MISSING, None, "Certified"],
@@ -619,16 +716,31 @@ def test_descend_refuses_an_uncertified_verdict_before_any_math_layer(tmp_path, 
 def test_layers_import_no_serialization_modules(layer):
     _, loaded = modules_loaded_by(None, f"ulrichcert.{layer}")
     assert layer in loaded
-    assert not loaded & SERIALIZATION, sorted(loaded & SERIALIZATION)
+    assert not loaded & (SERIALIZATION | UNUSED), sorted(loaded & (SERIALIZATION | UNUSED))
 
 
 def test_certify_loads_what_writing_its_document_needs(tmp_path):
-    """The digests and the timestamp are computed, not skipped."""
+    """The digests are computed, not skipped; the timestamp comes from
+    ``time``, which the interpreter loaded at start-up."""
     status, loaded = modules_loaded_by(
         ["certify", "--paper-defaults", "--out", str(tmp_path / "cert.json")])
     assert status == cli.EXIT_EFFECTIVITY
-    assert {"cohomology", "hashlib", "json", "datetime"} <= loaded
-    assert "dataclasses" not in loaded
+    assert {"cohomology", "hashlib", "json", "fractions"} <= loaded
+    assert not loaded & UNUSED, sorted(loaded & UNUSED)
+
+
+def test_header_timestamp_is_utc_with_microseconds(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    before = datetime.datetime.now(datetime.timezone.utc)
+    cli.main(["certify", "--paper-defaults", "--out", str(out)])
+    after = datetime.datetime.now(datetime.timezone.utc)
+    header = json.loads(out.read_text())["header"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00", header["created"])
+    created = datetime.datetime.fromisoformat(header["created"])
+    assert created.utcoffset() == datetime.timedelta(0)
+    slack = datetime.timedelta(seconds=2)
+    assert before - slack <= created <= after + slack
+    assert header["tool"] == f"ulrichcert {ulrichcert.__version__}"
 
 
 def test_package_exports_resolve_lazily():

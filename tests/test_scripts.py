@@ -66,5 +66,17 @@ def test_source_lines_skips_blanks_comments_and_docstrings(tmp_path):
         " ".join(argv) for argv in source_lines.COMMANDS]
     code = dict(counts)
     read = sum(code[pathlib.Path(name)][1] for name in ("__init__.py", "documents.py", "labels.py"))
-    assert commands[-1] == (f"  descend cert.json (exit 8): 3 modules, {read} code lines: "
-                            "__init__.py documents.py labels.py")
+    package, stdlib = commands[-1].split("; ")
+    assert package == (f"  descend cert.json (exit 8): 3 modules, {read} code lines: "
+                       "__init__.py documents.py labels.py")
+    added = {}
+    for line, argv in zip(commands, source_lines.COMMANDS):
+        count, names = line.split("; standard library +")[1].split(": ")
+        added[argv[:2]] = set(names.split())
+        assert int(count) == len(added[argv[:2]])
+        assert not added[argv[:2]] & {"argparse", "gettext", "locale", "datetime"}, line
+    assert {"json", "hashlib"} <= added[("descend", "cert.json")]
+    assert {"fractions", "json", "hashlib"} <= added[("certify", "--paper-defaults")]
+    for check in ("theta-check", "even-eights", "horikawa"):
+        assert not added[("lattice", check)] & {"fractions", "decimal", "json"}
+    assert not added[("descend", "cert.json")] & {"fractions", "decimal"}
