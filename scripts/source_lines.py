@@ -12,8 +12,11 @@ running it loads, with their code lines, and the standard-library modules it
 adds over an interpreter that has only started and imported what the probe
 itself uses. A process without a bytecode cache compiles every package
 module it loads, so this is the repeatable count of a cold command's import
-work. ``descend`` reads the refuted certificate that ``certify
---paper-defaults`` writes. Standard library only::
+work. Each line ends with the number of objects the garbage collector tracks
+before ``ulrichcert`` is imported and once the command has returned: the
+load that the collections of interpreter finalization would traverse, had
+the process entry not frozen it. ``descend`` reads the refuted certificate
+that ``certify --paper-defaults`` writes. Standard library only::
 
     python scripts/source_lines.py
 """
@@ -41,14 +44,15 @@ COMMANDS = (
     ("descend", "cert.json"),
 )
 # the probe's own imports, then the module names a bare interpreter has
-BARE = """import contextlib, io, sys
+BARE = """import contextlib, gc, io, sys
 print(*sys.modules)
 """
-PROBE = """import contextlib, io, sys
+PROBE = """import contextlib, gc, io, sys
+before = len(gc.get_objects())
 import ulrichcert.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     status = ulrichcert.cli.main(sys.argv[1:])
-print(status)
+print(status, before, len(gc.get_objects()))
 print(*sys.modules)
 for name, module in sys.modules.items():
     if name.startswith("ulrichcert"):
@@ -89,12 +93,14 @@ def probe(script, argv, directory) -> list:
 
 def loaded_modules(argv, directory, bare) -> tuple:
     """Exit code of ``argv`` run in a fresh interpreter in ``directory``, the
-    package modules besides ``cli.py`` that it loads, in path order, and the
-    other modules it adds to the set ``bare``, sorted by name."""
-    status, names, *files = probe(PROBE, argv, directory)
+    package modules besides ``cli.py`` that it loads, in path order, the
+    other modules it adds to the set ``bare``, sorted by name, and the
+    gc-tracked object counts before the import and after the command."""
+    counts, names, *files = probe(PROBE, argv, directory)
+    status, before, at_exit = map(int, counts.split())
     modules = sorted(pathlib.Path(f).relative_to(SOURCE) for f in files)
     added = sorted(n for n in set(names.split()) - bare if n.partition(".")[0] != "ulrichcert")
-    return int(status), [m for m in modules if m != pathlib.Path("cli.py")], added
+    return status, [m for m in modules if m != pathlib.Path("cli.py")], added, (before, at_exit)
 
 
 def main() -> None:
@@ -107,11 +113,12 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as directory:
         bare = set(probe(BARE, (), directory)[0].split())
         for argv in COMMANDS:
-            status, modules, added = loaded_modules(argv, directory, bare)
+            status, modules, added, (before, at_exit) = loaded_modules(argv, directory, bare)
             print(f"  {' '.join(argv)} (exit {status}): {len(modules)} modules, "
                   f"{sum(counts[m][1] for m in modules)} code lines: "
                   + " ".join(map(str, modules))
-                  + f"; standard library +{len(added)}: " + " ".join(added))
+                  + f"; standard library +{len(added)}: " + " ".join(added)
+                  + f"; gc-tracked objects {before} before import, {at_exit} at exit")
 
 
 if __name__ == "__main__":

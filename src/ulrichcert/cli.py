@@ -34,6 +34,13 @@ The command line is read against one table, ``COMMANDS``, rather than with
 call a few milliseconds. Flags are spelled in full. ``-h`` or ``--help``
 prints the usage to stdout and exits 0; a command line the table does not
 admit prints the usage and the error to stderr and exits 2.
+
+``main()`` with no ``argv`` is the process entry, as ``python -m
+ulrichcert.cli`` and the installed ``ulrichcert`` script call it: once the
+command has returned it calls ``gc.freeze()``, so the collections that
+interpreter finalization runs skip every object alive by then. A caller that
+passes ``argv`` runs the command in its own process, whose heap is never
+frozen.
 """
 from __future__ import annotations
 
@@ -335,8 +342,21 @@ def parse_args(argv) -> SimpleNamespace | None:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    With ``argv=None`` this is the process entry: it reads ``sys.argv`` and,
+    once the command has returned, freezes the heap (``gc.freeze()``) so the
+    interpreter's exit-time collections do not traverse it. A passed ``argv``
+    never freezes.
+    """
+    if argv is None:
+        try:
+            return main(sys.argv[1:])
+        finally:
+            import gc
+            gc.freeze()
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_args(argv)
     except UsageError as exc:
         print(f"{USAGE}\nulrichcert: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

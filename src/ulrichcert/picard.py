@@ -146,9 +146,14 @@ def polarization() -> DivisorClass:
     return _doubled_class(4, -1, NODE_LABELS)
 
 
+def _pairing4(a: DivisorClass, b: DivisorClass) -> int:
+    """Four times a.b, the Gram sum over the doubled coordinates."""
+    return sum(g * x * y for g, x, y in zip(_GRAM_DIAG, a.doubled, b.doubled))
+
+
 def pairing(a: DivisorClass, b: DivisorClass) -> Fraction:
     from fractions import Fraction
-    return Fraction(sum(g * x * y for g, x, y in zip(_GRAM_DIAG, a.doubled, b.doubled)), 4)
+    return Fraction(_pairing4(a, b), 4)
 
 
 def trope(label) -> DivisorClass:
@@ -380,9 +385,9 @@ def incidence_table():
     for nl in NODE_LABELS:
         e = node_class(nl)
         for tl, t in tropes.items():
-            value = pairing(e, t)
-            assert value.denominator == 1
-            table[(nl, tl)] = int(value)
+            quarters = _pairing4(e, t)
+            assert quarters % 4 == 0
+            table[(nl, tl)] = quarters // 4
     return table
 
 

@@ -1,6 +1,8 @@
 import datetime
 import functools
+import gc
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -626,8 +628,8 @@ SERIALIZATION = {"hashlib", "json"}
 # argparse (which brings gettext and locale), the header timestamp comes from
 # time, and the records are named tuples or plain classes
 UNUSED = {"argparse", "gettext", "locale", "datetime", "dataclasses"}
-# loaded only where a Fraction is built: the integer lattice checks and a
-# refused descend never load them
+# loaded only where a Fraction is built: the lattice checks and a refused
+# descend never load them
 FRACTIONS = {"fractions", "decimal"}
 
 
@@ -674,7 +676,7 @@ def refuted_dir(tmp_path_factory):
     (["lattice", "horikawa"], 0, {"lattices"},
      {"picard"} | CERTIFY_CHAIN | SERIALIZATION | FRACTIONS),
     (["lattice", "theta-check"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION | FRACTIONS),
-    (["lattice", "incidence"], 0, {"picard", "fractions"}, CERTIFY_CHAIN | SERIALIZATION),
+    (["lattice", "incidence"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION | FRACTIONS),
     (["lattice", "even-eights"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION | FRACTIONS),
     (["nodes", "--paper-defaults"], 0, {"kummer", "fields", "linalg"},
      {"cohomology", "picard"} | SERIALIZATION),
@@ -717,6 +719,64 @@ def test_layers_import_no_serialization_modules(layer):
     _, loaded = modules_loaded_by(None, f"ulrichcert.{layer}")
     assert layer in loaded
     assert not loaded & (SERIALIZATION | UNUSED), sorted(loaded & (SERIALIZATION | UNUSED))
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _entry_shapes():
+    """The command shapes that ``scripts/source_lines.py`` probes, in its
+    order (``certify`` writes the ``cert.json`` that ``descend`` reads), then
+    ``--help`` and a usage error."""
+    spec = importlib.util.spec_from_file_location("source_lines",
+                                                  ROOT / "scripts" / "source_lines.py")
+    source_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(source_lines)
+    return [list(argv) for argv in source_lines.COMMANDS] + [["--help"], ["lattice", "nope"]]
+
+
+ENTRY_SHAPES = _entry_shapes()
+ENTRY_EXITS = [7, 0, 0, 0, 0, 0, 0, 8, 0, 2]
+
+
+def run_python(args, cwd=None):
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+
+
+def test_in_process_main_never_freezes_the_heap(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    frozen = gc.get_freeze_count()
+    assert [cli.main(argv) for argv in ENTRY_SHAPES] == ENTRY_EXITS
+    assert gc.get_freeze_count() == frozen
+
+
+def test_process_entry_freezes_the_heap_once_the_command_returns():
+    probe = ("import gc, sys\n"
+             "import ulrichcert.cli as cli\n"
+             "sys.argv = ['ulrichcert', 'lattice', 'horikawa']\n"
+             "before = gc.get_freeze_count()\n"
+             "status = cli.main()\n"
+             "print(status, before, gc.get_freeze_count())\n")
+    run = run_python(["-c", probe])
+    assert run.returncode == 0, run.stderr
+    status, before, after = map(int, run.stdout.splitlines()[-1].split())
+    assert (status, before) == (0, 0)
+    assert after > 0
+
+
+def test_module_entry_prints_and_exits_as_a_run_that_passes_argv(tmp_path):
+    """``python -m ulrichcert.cli``, which freezes, against ``cli.main`` given
+    the same argv, which does not: each shape runs in order in its own
+    directory per side."""
+    passed = "import sys, ulrichcert.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
+    results = []
+    for side, head in (("entry", ["-m", "ulrichcert.cli"]), ("argv", ["-c", passed])):
+        (tmp_path / side).mkdir()
+        runs = [run_python(head + argv, cwd=tmp_path / side) for argv in ENTRY_SHAPES]
+        results.append([(run.returncode, run.stdout, run.stderr) for run in runs])
+    assert [code for code, _, _ in results[0]] == ENTRY_EXITS
+    assert results[0] == results[1]
 
 
 def test_certify_loads_what_writing_its_document_needs(tmp_path):

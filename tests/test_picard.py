@@ -11,7 +11,7 @@ from ulrichcert.fields import QQ
 from ulrichcert.linalg import hermite_normal_form, hnf_contains, rank
 from ulrichcert.picard import (BundleRecipe, DEFAULT_TWELVE, DivisorClass,
                                EvenEightTester, HALF_EVEN_EIGHT, Involution,
-                               PolarizedSurfaceParams, RANK, checked_recipe, chi_k3,
+                               PolarizedSurfaceParams, RANK, _pairing4, checked_recipe, chi_k3,
                                default_picard_generators, default_recipe, doubled_support,
                                even_eight_test, format_divisor, hyperplane_class,
                                incidence_is_16_6, incidence_table, is_invariant,
@@ -60,6 +60,21 @@ def test_specific_trope_values():
     assert pairing(trope(6), trope(6)) == -2
     assert pairing(trope(6), L) == 2
     assert pairing(trope((2, 4, 6)), node_class((2, 4))) == 1
+
+
+def test_quarter_pairing_is_four_times_the_pairing():
+    nodes = [node_class(label) for label in NODE_LABELS]
+    tropes = [trope(label) for label in TROPE_LABELS]
+    for e in nodes:
+        for t in tropes:
+            assert _pairing4(e, t) == 4 * pairing(e, t)
+    mixed = [H, M, L, parse_divisor("3*L - E0 - 1/2*E12 + T6"),
+             parse_divisor("1/2*E13 - 3*T126 + E56"), parse_divisor("-L + 3*T3 - 1/2*E0")]
+    for a in mixed:
+        for b in mixed + nodes + tropes:
+            quarters = _pairing4(a, b)
+            assert type(quarters) is int
+            assert quarters == 4 * pairing(a, b) == _pairing4(b, a)
 
 
 def test_trope_label_validation():

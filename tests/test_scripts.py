@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -66,17 +67,21 @@ def test_source_lines_skips_blanks_comments_and_docstrings(tmp_path):
         " ".join(argv) for argv in source_lines.COMMANDS]
     code = dict(counts)
     read = sum(code[pathlib.Path(name)][1] for name in ("__init__.py", "documents.py", "labels.py"))
-    package, stdlib = commands[-1].split("; ")
+    package = commands[-1].split("; ")[0]
     assert package == (f"  descend cert.json (exit 8): 3 modules, {read} code lines: "
                        "__init__.py documents.py labels.py")
     added = {}
     for line, argv in zip(commands, source_lines.COMMANDS):
-        count, names = line.split("; standard library +")[1].split(": ")
+        _, stdlib, objects = line.split("; ")
+        count, names = stdlib.removeprefix("standard library +").split(": ")
         added[argv[:2]] = set(names.split())
         assert int(count) == len(added[argv[:2]])
+        before, at_exit = map(int, re.fullmatch(
+            r"gc-tracked objects (\d+) before import, (\d+) at exit", objects).groups())
+        assert 0 < before < at_exit, line
         assert not added[argv[:2]] & {"argparse", "gettext", "locale", "datetime"}, line
     assert {"json", "hashlib"} <= added[("descend", "cert.json")]
     assert {"fractions", "json", "hashlib"} <= added[("certify", "--paper-defaults")]
-    for check in ("theta-check", "even-eights", "horikawa"):
+    for check in ("theta-check", "incidence", "even-eights", "horikawa"):
         assert not added[("lattice", check)] & {"fractions", "decimal", "json"}
     assert not added[("descend", "cert.json")] & {"fractions", "decimal"}
