@@ -1,4 +1,5 @@
-"""Print the line counts of the ulrichcert package sources.
+"""Print the line counts of the ulrichcert package sources, and what each
+command shape loads.
 
 Two numbers for the ``.py`` files under ``src/ulrichcert``: all lines, and
 code lines, which leave out blank lines, comment-only lines and the
@@ -6,19 +7,22 @@ docstrings of modules, classes and functions. The first line gives the
 package totals; one line per module follows, in path order, so a change
 shows where its lines moved.
 
-Then one line per command shape that the benchmark and CI run: its exit
-code, the package modules, besides ``cli.py``, that a fresh interpreter
-running it loads, with their code lines, and the standard-library modules it
-adds over an interpreter that has only started and imported what the probe
-itself uses. A process without a bytecode cache compiles every package
-module it loads, so this is the repeatable count of a cold command's import
-work. Each line ends with the number of objects the garbage collector tracks
-before ``ulrichcert`` is imported and once the command has returned: the
-load that the collections of interpreter finalization would traverse, had
-the process entry not frozen it. ``descend`` reads the refuted certificate
-that ``certify --paper-defaults`` writes. Standard library only::
+Then one line per shape of ``COMMANDS``: its exit code, the package modules
+besides ``cli.py`` that a fresh interpreter running it loads, with their code
+lines (a process without a bytecode cache compiles each, so this is the
+repeatable count of a cold command's import work), the standard-library
+modules it adds to those the interpreter had once started, and the objects
+the garbage collector tracks before ``ulrichcert`` is imported and once the
+command has returned, which the collections of interpreter finalization
+would traverse had the process entry not frozen them. Standard library
+only::
 
     python scripts/source_lines.py
+
+The tests and CI use this file: ``COMMANDS`` is the one list of command
+shapes, each argv with its exit code, and ``loaded_modules`` the one probe of
+what a fresh interpreter loads, through which the tests assert the modules
+each shape needs and must not load.
 """
 from __future__ import annotations
 
@@ -28,36 +32,43 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from collections import namedtuple
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ulrichcert"
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
-# run in this order in one directory: certify writes the certificate descend reads
-COMMANDS = (
-    ("certify", "--paper-defaults", "--out", "cert.json"),
-    ("nodes", "--paper-defaults"),
-    ("nodes", "--paper-defaults", "--out", "nodes.json"),
-    ("lattice", "theta-check"),
-    ("lattice", "incidence"),
-    ("lattice", "even-eights"),
-    ("lattice", "horikawa"),
-    ("descend", "cert.json"),
-)
-# the probe's own imports, then the module names a bare interpreter has
-BARE = """import contextlib, gc, io, sys
-print(*sys.modules)
-"""
+# name -> (argv, exit code); run in this order in one directory: certify
+# writes the certificate that descend reads
+COMMANDS = {
+    "certify": (("certify", "--paper-defaults", "--out", "cert.json"), 7),
+    "nodes": (("nodes", "--paper-defaults"), 0),
+    "nodes-out": (("nodes", "--paper-defaults", "--out", "nodes.json"), 0),
+    "theta-check": (("lattice", "theta-check"), 0),
+    "incidence": (("lattice", "incidence"), 0),
+    "even-eights": (("lattice", "even-eights"), 0),
+    "horikawa": (("lattice", "horikawa"), 0),
+    "descend-refuted": (("descend", "cert.json"), 8),
+    "help": (("--help",), 0),
+    "usage-error": (("lattice", "nope"), 2),
+}
+# argv: the module to import, then the command line to run, if any
 PROBE = """import contextlib, gc, io, sys
-before = len(gc.get_objects())
-import ulrichcert.cli
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    status = ulrichcert.cli.main(sys.argv[1:])
-print(status, before, len(gc.get_objects()))
-print(*sys.modules)
-for name, module in sys.modules.items():
-    if name.startswith("ulrichcert"):
-        print(module.__file__)
+objects, before = len(gc.get_objects()), set(sys.modules)
+__import__(sys.argv[1])
+status = None
+if sys.argv[2:]:
+    import ulrichcert.cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = ulrichcert.cli.main(sys.argv[2:])
+added = set(sys.modules) - before
+print(status, objects, len(gc.get_objects()))
+print(*added)
+print(*(sys.modules[n].__file__ for n in added if n.partition(".")[0] == "ulrichcert"), sep="\\n")
 """
+# status: the exit code, None where no command ran; names: the modules added
+# to sys.modules; files: the package's, as sorted paths under SOURCE;
+# objects: gc-tracked objects before the import and at the end
+Loaded = namedtuple("Loaded", "status names files objects")
 
 
 def docstring_lines(tree) -> set:
@@ -82,25 +93,20 @@ def count(path: pathlib.Path):
     return len(lines), code
 
 
-def probe(script, argv, directory) -> list:
-    """The stdout lines of ``script`` run with ``argv`` in a fresh interpreter
-    in ``directory``, with the package on the path."""
-    run = subprocess.run([sys.executable, "-c", script, *argv], cwd=directory, check=True,
+def loaded_modules(argv=(), directory=None, module="ulrichcert.cli") -> Loaded:
+    """What a fresh interpreter in ``directory`` loads by importing ``module``
+    and then, unless ``argv`` is empty, running it through ``cli.main`` with
+    its output discarded."""
+    run = subprocess.run([sys.executable, "-c", PROBE, module, *argv], cwd=directory,
                          env=dict(os.environ, PYTHONPATH=str(SOURCE.parent)),
-                         capture_output=True, text=True)
-    return run.stdout.splitlines()
-
-
-def loaded_modules(argv, directory, bare) -> tuple:
-    """Exit code of ``argv`` run in a fresh interpreter in ``directory``, the
-    package modules besides ``cli.py`` that it loads, in path order, the
-    other modules it adds to the set ``bare``, sorted by name, and the
-    gc-tracked object counts before the import and after the command."""
-    counts, names, *files = probe(PROBE, argv, directory)
-    status, before, at_exit = map(int, counts.split())
-    modules = sorted(pathlib.Path(f).relative_to(SOURCE) for f in files)
-    added = sorted(n for n in set(names.split()) - bare if n.partition(".")[0] != "ulrichcert")
-    return status, [m for m in modules if m != pathlib.Path("cli.py")], added, (before, at_exit)
+                         capture_output=True, text=True, timeout=120)
+    if run.returncode:
+        raise RuntimeError(f"probe of {module} {' '.join(argv)} failed:\n{run.stderr}")
+    counts, names, *files = run.stdout.splitlines()
+    status, before, at_exit = counts.split()
+    return Loaded(None if status == "None" else int(status), set(names.split()),
+                  sorted(pathlib.Path(f).relative_to(SOURCE) for f in files),
+                  (int(before), int(at_exit)))
 
 
 def main() -> None:
@@ -111,14 +117,15 @@ def main() -> None:
         print(f"  {module}: {t} lines, {c} code lines")
     print("modules that each command loads besides cli.py, in a fresh interpreter:")
     with tempfile.TemporaryDirectory() as directory:
-        bare = set(probe(BARE, (), directory)[0].split())
-        for argv in COMMANDS:
-            status, modules, added, (before, at_exit) = loaded_modules(argv, directory, bare)
-            print(f"  {' '.join(argv)} (exit {status}): {len(modules)} modules, "
+        for argv, _ in COMMANDS.values():
+            loaded = loaded_modules(argv, directory)
+            modules = [m for m in loaded.files if m != pathlib.Path("cli.py")]
+            added = sorted(n for n in loaded.names if n.partition(".")[0] != "ulrichcert")
+            print(f"  {' '.join(argv)} (exit {loaded.status}): {len(modules)} modules, "
                   f"{sum(counts[m][1] for m in modules)} code lines: "
                   + " ".join(map(str, modules))
                   + f"; standard library +{len(added)}: " + " ".join(added)
-                  + f"; gc-tracked objects {before} before import, {at_exit} at exit")
+                  + "; gc-tracked objects {} before import, {} at exit".format(*loaded.objects))
 
 
 if __name__ == "__main__":

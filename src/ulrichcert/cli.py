@@ -16,8 +16,9 @@ Exit codes are a stable contract:
        inputs, or a certified rebuild whose body differs from the recorded one)
     1  generic check failure in lattice subcommands
 
-Reports are JSON documents with a detachable header (timestamp and tool
-version); bodies are deterministic, so two runs on the same configuration
+Certificates and ``descend`` reports are JSON documents with a detachable
+header (timestamp and tool version); the ``nodes --out`` report is a bare
+body. Bodies are deterministic, so two runs on the same configuration
 produce byte-identical bodies.
 
 Each command imports only the layers it runs, so a lattice check does not
@@ -96,7 +97,7 @@ def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         read = parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed config file {path!r}: {exc}") from None
     if not read:
         raise ValueError(f"cannot read config file {path!r}")
@@ -117,6 +118,8 @@ def load_config(path: str) -> RunConfig:
             cfg.recipe_labels = tuple(tok.strip() for tok in section["labels"].split(","))
     if parser.has_section("output") and "path" in parser["output"]:
         cfg.out_path = parser["output"]["path"].strip()
+        if not cfg.out_path:
+            raise ValueError(f"empty [output] path in config file {path!r}")
     return cfg
 
 
@@ -299,7 +302,8 @@ def parse_args(argv) -> SimpleNamespace | None:
 
     Flags are spelled in full, as ``--flag value`` or ``--flag=value``, before
     or after the positionals; a repeated flag keeps its last value. Every
-    token that starts with ``-`` is a flag, so no value or positional does.
+    token that starts with ``-`` is a flag, so no value or positional does,
+    and an empty value counts as no value.
     """
     if not argv:
         raise UsageError("a command is required")
@@ -326,9 +330,10 @@ def parse_args(argv) -> SimpleNamespace | None:
             value = True
         elif flag not in valued:
             raise UsageError(f"unknown flag {flag!r} for {command}")
-        elif not eq:
-            value = next(tokens, None)
-            if value is None or value.startswith("-"):
+        else:
+            if not eq:
+                value = next(tokens, "")
+            if not value or (not eq and value.startswith("-")):
                 raise UsageError(f"flag {flag} needs a value")
         values[flag[2:].replace("-", "_")] = value
     if len(given) != len(positionals):

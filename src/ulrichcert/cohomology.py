@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import __version__ as TOOL_VERSION, _checked_make
+from . import _checked_make
 from .documents import (CERTIFICATE_FORMAT, CertificateIntegrityError,
                         UncertifiedCertificateError, _canonical, _digest, _document,
                         certified_body, write_json_atomic)
@@ -34,7 +34,7 @@ from .kummer import Genus2Curve, read_quartic, verify_sixteen_nodes
 from .labels import node_token
 from .linalg import kernel_basis
 from .picard import (BundleRecipe, HALF_EVEN_EIGHT, PolarizedSurfaceParams, build_theta_star,
-                     checked_recipe, chi_k3, default_even_eight_tester, doubled_support,
+                     checked_recipe, chi_k3, doubled_support, even_eight_test,
                      format_divisor, is_invariant, pairing, polarization)
 from .polynomials import Poly, format_polynomial, monomial_basis, power_product
 
@@ -200,7 +200,7 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
     """
     recipe = recipe or BundleRecipe()
     params = params or PolarizedSurfaceParams()
-    if recipe.kind == HALF_EVEN_EIGHT and not default_even_eight_tester().test(recipe.labels):
+    if recipe.kind == HALF_EVEN_EIGHT and not even_eight_test(recipe.labels):
         raise UnsupportedShapeError(
             "the eight recipe nodes are not an even eight, so the candidate "
             "is not an integral class")
@@ -258,7 +258,7 @@ def certify_ulrich(curve: Genus2Curve, quartic: Poly,
     doubled_l, support = doubled_support(difference)
     if doubled_l == 0 and support.keys() == {1} and len(support[1]) == 8:
         halves = [node_token(l) for l in support[1]]
-        divisible = default_even_eight_tester().test(support[1])
+        divisible = even_eight_test(support[1])
         if refuted([CheckRecord(name="even-eight-detection",
                                 justification="even-eight-complement",
                                 inputs={"labels": halves},

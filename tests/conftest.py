@@ -1,9 +1,15 @@
+import pathlib
+import sys
+
 import pytest
 
 from ulrichcert import cohomology
 from ulrichcert.fields import QQ, PrimeField
 from ulrichcert.kummer import Genus2Curve, load_corpus_quartic
 from ulrichcert.picard import build_theta_star
+
+# the tests import scripts/source_lines.py, the one probe of what a command loads
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
 
 
 @pytest.fixture(scope="session")

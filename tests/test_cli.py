@@ -2,7 +2,6 @@ import datetime
 import functools
 import gc
 import hashlib
-import importlib.util
 import json
 import os
 import pathlib
@@ -15,6 +14,8 @@ import pytest
 import ulrichcert
 from ulrichcert import cli, kummer
 from ulrichcert.cohomology import descend_to_enriques, write_certificate
+
+import source_lines
 
 DEFAULT_LABELS = "E0, E16, E26, E36, E46, E56, E12, E13, E14, E15, E24, E35"
 SWAPPED_LABELS = "E0, E16, E26, E36, E46, E56, E12, E13, E14, E15, E25, E35"
@@ -283,16 +284,25 @@ def test_lattice_subcommands(capsys):
      "lattice takes 1 positional argument(s) (check), got 2"),
     (["descend"], "descend takes 1 positional argument(s) (certificate), got 0"),
     (["nodes", "--paper-defaults", "extra"], "nodes takes 0 positional argument(s) (none), got 1"),
+    (["certify", "--paper-defaults", "--out", ""], "flag --out needs a value"),
+    (["certify", "--paper-defaults", "--out="], "flag --out needs a value"),
+    (["nodes", "--paper-defaults", "--out", ""], "flag --out needs a value"),
+    (["descend", "cert.json", "--out", ""], "flag --out needs a value"),
+    (["nodes", "--config", ""], "flag --config needs a value"),
 ], ids=["no-command", "unknown-command", "unknown-flag", "abbreviated-flag",
         "flag-of-another-command", "flag-without-value", "flag-followed-by-flag",
         "dash-value", "switch-with-value", "unknown-lattice-check", "missing-positional",
-        "extra-positional", "missing-certificate", "positional-for-nodes"])
-def test_usage_errors_return_exit_two_with_usage_on_stderr(capsys, argv, message):
+        "extra-positional", "missing-certificate", "positional-for-nodes", "empty-value",
+        "empty-equals-value", "empty-nodes-out", "empty-descend-out", "empty-config"])
+def test_usage_errors_return_exit_two_with_usage_on_stderr(tmp_path, monkeypatch, capsys, argv,
+                                                          message):
+    monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(cli.USAGE + "\n")
     assert f"ulrichcert: error: {message}" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["certify", "-h"],
@@ -464,6 +474,21 @@ def test_unreadable_config_rejected(tmp_path):
         cli.load_config(str(tmp_path / "missing.cfg"))
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("certify", b"[output]\npath =   ; no file\n", "empty [output] path in config file 'c.cfg'"),
+    ("nodes", b"[output]\npath =\n", "empty [output] path in config file 'c.cfg'"),
+    ("certify", b"\xff\xfe[\x00s\x00", "malformed config file 'c.cfg': "),
+], ids=["certify-empty-output-path", "nodes-empty-output-path", "not-utf8"])
+def test_config_errors_name_the_file_and_write_nothing(tmp_path, monkeypatch, capsys, command,
+                                                       data, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_bytes(data)
+    assert cli.main([command, "--config", "c.cfg"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"configuration error: {message}")
+    assert [path.name for path in tmp_path.iterdir()] == ["c.cfg"]
+
+
 def test_inline_quartic_source(tmp_path):
     cfg = cli.RunConfig(quartic_source="inline:X^4+Y^4+Z^4+W^4")
     assert cfg.quartic().total_degree() == 4
@@ -631,67 +656,56 @@ UNUSED = {"argparse", "gettext", "locale", "datetime", "dataclasses"}
 # loaded only where a Fraction is built: the lattice checks and a refused
 # descend never load them
 FRACTIONS = {"fractions", "decimal"}
+# what descend reads, checks and refuses a certificate with
+READER = {"ulrichcert", "labels", "documents"} | SERIALIZATION
+
+# (argv, exit code) of every command shape of scripts/source_lines.py, by its
+# name there, of the import of the CLI alone, and of descend reading a
+# certificate edited to read certified without a new digest
+SHAPES = {"import": ((), None), **source_lines.COMMANDS,
+          "descend-wrong-digest": (("descend", "wrong-digest.json"), cli.EXIT_INTEGRITY)}
+# the modules each shape needs, and those it must not load besides UNUSED
+CONTRACT = {
+    **dict.fromkeys(("import", "help", "usage-error"), (set(), LAYERS | SERIALIZATION | FRACTIONS)),
+    # the digests are computed, not skipped; the timestamp comes from time,
+    # which the interpreter loaded at start-up
+    "certify": (CERTIFY_CHAIN | SERIALIZATION | {"fractions"}, set()),
+    "nodes": ({"kummer", "fields", "linalg"}, {"cohomology", "picard"} | SERIALIZATION),
+    "nodes-out": ({"kummer", "documents", "json"}, {"cohomology", "picard", "enriques"}),
+    **dict.fromkeys(("theta-check", "incidence", "even-eights"),
+                    ({"picard"}, CERTIFY_CHAIN | SERIALIZATION | FRACTIONS)),
+    "horikawa": ({"lattices"}, {"picard"} | CERTIFY_CHAIN | SERIALIZATION | FRACTIONS),
+    **dict.fromkeys(("descend-refuted", "descend-wrong-digest"), (READER, LAYERS | FRACTIONS)),
+}
 
 
-def modules_loaded_by(argv, module="ulrichcert.cli", cwd=None):
-    """Exit status and the modules a fresh interpreter, started in ``cwd``,
-    adds to ``sys.modules`` by importing ``module`` and, when ``argv`` is
-    given, running that command through ``ulrichcert.cli``. Modules that
-    start-up had already loaded do not count, and the layers of
-    ``ulrichcert`` are named without the package."""
-    probe = ("import io, contextlib, sys\n"
-             "before = set(sys.modules)\n"
-             f"import {module}\n"
-             "import ulrichcert.cli as cli\n"
-             f"argv = {argv!r}\n"
-             "status = None\n"
-             "if argv is not None:\n"
-             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-             "        status = cli.main(argv)\n"
-             "print(status, *(m.removeprefix('ulrichcert.') for m in set(sys.modules) - before))\n")
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
-                         cwd=cwd, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    status, *loaded = run.stdout.split()
-    return (None if status == "None" else int(status)), set(loaded)
+def modules_loaded_by(argv=(), module="ulrichcert.cli", cwd=None):
+    """``source_lines.loaded_modules``: the exit status and the modules added,
+    with the layers of ``ulrichcert`` named without the package."""
+    loaded = source_lines.loaded_modules(argv, cwd, module)
+    return loaded.status, {name.removeprefix("ulrichcert.") for name in loaded.names}
 
 
 @pytest.fixture(scope="module")
 def refuted_dir(tmp_path_factory):
-    """A directory holding the refuted reference certificate, ``refuted.json``,
-    and a copy edited to read certified without a new digest,
-    ``wrong-digest.json``."""
+    """A directory holding the refuted reference certificate, ``cert.json``,
+    where the ``descend`` shape reads it, and a copy edited to read certified
+    without a new digest, ``wrong-digest.json``."""
     directory = tmp_path_factory.mktemp("refuted")
     assert cli.main(["certify", "--paper-defaults",
-                     "--out", str(directory / "refuted.json")]) == cli.EXIT_EFFECTIVITY
-    text = (directory / "refuted.json").read_text()
+                     "--out", str(directory / "cert.json")]) == cli.EXIT_EFFECTIVITY
+    text = (directory / "cert.json").read_text()
     (directory / "wrong-digest.json").write_text(
         text.replace('"verdict": "refuted"', '"verdict": "certified"'))
     return directory
 
 
-@pytest.mark.parametrize("argv, exit_code, needed, absent", [
-    (None, None, set(), LAYERS | SERIALIZATION | FRACTIONS),
-    (["lattice", "horikawa"], 0, {"lattices"},
-     {"picard"} | CERTIFY_CHAIN | SERIALIZATION | FRACTIONS),
-    (["lattice", "theta-check"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION | FRACTIONS),
-    (["lattice", "incidence"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION | FRACTIONS),
-    (["lattice", "even-eights"], 0, {"picard"}, CERTIFY_CHAIN | SERIALIZATION | FRACTIONS),
-    (["nodes", "--paper-defaults"], 0, {"kummer", "fields", "linalg"},
-     {"cohomology", "picard"} | SERIALIZATION),
-    (["nodes", "--paper-defaults", "--out", "nodes.json"], 0, {"kummer", "documents", "json"},
-     {"cohomology", "picard", "enriques"}),
-    (["descend", "refuted.json"], 8, {"documents"}, LAYERS | FRACTIONS),
-    (["descend", "wrong-digest.json"], 9, {"documents"}, LAYERS | FRACTIONS),
-    (["lattice", "nope"], 2, set(), LAYERS | SERIALIZATION | FRACTIONS),
-    (["--help"], 0, set(), LAYERS | SERIALIZATION | FRACTIONS),
-], ids=["import", "horikawa", "theta-check", "incidence", "even-eights", "nodes", "nodes-out",
-        "descend-refuted", "descend-wrong-digest", "usage-error", "help"])
-def test_each_command_imports_only_its_layers(refuted_dir, argv, exit_code, needed, absent):
+@pytest.mark.parametrize("shape", SHAPES)
+def test_each_command_imports_only_its_layers(refuted_dir, shape):
+    (argv, exit_code), (needed, absent) = SHAPES[shape], CONTRACT[shape]
     status, loaded = modules_loaded_by(argv, cwd=refuted_dir)
     assert status == exit_code
-    assert needed <= loaded
+    assert needed <= loaded, sorted(needed - loaded)
     assert not loaded & (absent | UNUSED), sorted(loaded & (absent | UNUSED))
 
 
@@ -701,7 +715,7 @@ def test_descend_refuses_an_uncertified_verdict_before_any_math_layer(tmp_path, 
                                                                      verdict):
     """The verdict rule: only a body recording exactly ``certified`` goes on
     to the rebuild, so every other verdict exits 8 with no math layer loaded."""
-    document = json.loads((refuted_dir / "refuted.json").read_text())
+    document = json.loads((refuted_dir / "cert.json").read_text())
     if verdict is MISSING:
         del document["body"]["verdict"]
     else:
@@ -716,27 +730,15 @@ def test_descend_refuses_an_uncertified_verdict_before_any_math_layer(tmp_path, 
 @pytest.mark.parametrize("layer", ["cohomology", "kummer", "picard", "lattices", "cli",
                                    "documents"])
 def test_layers_import_no_serialization_modules(layer):
-    _, loaded = modules_loaded_by(None, f"ulrichcert.{layer}")
+    """No layer loads a serialization module on import, and neither the CLI
+    nor ``documents`` loads a math layer."""
+    _, loaded = modules_loaded_by(module=f"ulrichcert.{layer}")
+    absent = SERIALIZATION | UNUSED | (LAYERS if layer in ("cli", "documents") else set())
     assert layer in loaded
-    assert not loaded & (SERIALIZATION | UNUSED), sorted(loaded & (SERIALIZATION | UNUSED))
+    assert not loaded & absent, sorted(loaded & absent)
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def _entry_shapes():
-    """The command shapes that ``scripts/source_lines.py`` probes, in its
-    order (``certify`` writes the ``cert.json`` that ``descend`` reads), then
-    ``--help`` and a usage error."""
-    spec = importlib.util.spec_from_file_location("source_lines",
-                                                  ROOT / "scripts" / "source_lines.py")
-    source_lines = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(source_lines)
-    return [list(argv) for argv in source_lines.COMMANDS] + [["--help"], ["lattice", "nope"]]
-
-
-ENTRY_SHAPES = _entry_shapes()
-ENTRY_EXITS = [7, 0, 0, 0, 0, 0, 0, 8, 0, 2]
 
 
 def run_python(args, cwd=None):
@@ -747,7 +749,8 @@ def run_python(args, cwd=None):
 def test_in_process_main_never_freezes_the_heap(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     frozen = gc.get_freeze_count()
-    assert [cli.main(argv) for argv in ENTRY_SHAPES] == ENTRY_EXITS
+    for argv, exit_code in source_lines.COMMANDS.values():
+        assert cli.main(argv) == exit_code, argv
     assert gc.get_freeze_count() == frozen
 
 
@@ -767,26 +770,18 @@ def test_process_entry_freezes_the_heap_once_the_command_returns():
 
 def test_module_entry_prints_and_exits_as_a_run_that_passes_argv(tmp_path):
     """``python -m ulrichcert.cli``, which freezes, against ``cli.main`` given
-    the same argv, which does not: each shape runs in order in its own
-    directory per side."""
+    the same argv, which does not: each command shape of
+    ``scripts/source_lines.py`` runs in order in its own directory per side."""
     passed = "import sys, ulrichcert.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
     results = []
     for side, head in (("entry", ["-m", "ulrichcert.cli"]), ("argv", ["-c", passed])):
         (tmp_path / side).mkdir()
-        runs = [run_python(head + argv, cwd=tmp_path / side) for argv in ENTRY_SHAPES]
+        runs = [run_python([*head, *argv], cwd=tmp_path / side)
+                for argv, _ in source_lines.COMMANDS.values()]
         results.append([(run.returncode, run.stdout, run.stderr) for run in runs])
-    assert [code for code, _, _ in results[0]] == ENTRY_EXITS
+    assert [code for code, _, _ in results[0]] == [
+        exit_code for _, exit_code in source_lines.COMMANDS.values()]
     assert results[0] == results[1]
-
-
-def test_certify_loads_what_writing_its_document_needs(tmp_path):
-    """The digests are computed, not skipped; the timestamp comes from
-    ``time``, which the interpreter loaded at start-up."""
-    status, loaded = modules_loaded_by(
-        ["certify", "--paper-defaults", "--out", str(tmp_path / "cert.json")])
-    assert status == cli.EXIT_EFFECTIVITY
-    assert {"cohomology", "hashlib", "json", "fractions"} <= loaded
-    assert not loaded & UNUSED, sorted(loaded & UNUSED)
 
 
 def test_header_timestamp_is_utc_with_microseconds(tmp_path, capsys):
@@ -804,11 +799,11 @@ def test_header_timestamp_is_utc_with_microseconds(tmp_path, capsys):
 
 
 def test_package_exports_resolve_lazily():
-    from ulrichcert import cohomology
+    from ulrichcert import cohomology, documents
     namespace = {}
     exec("from ulrichcert import *", namespace)
     assert set(ulrichcert.__all__) <= set(namespace)
     assert namespace["certify_ulrich"] is cohomology.certify_ulrich
-    assert ulrichcert.__version__ == cohomology.TOOL_VERSION == "0.1.0"
+    assert ulrichcert.__version__ == documents.TOOL_VERSION == "0.1.0"
     with pytest.raises(AttributeError):
         ulrichcert.no_such_export

@@ -1,9 +1,10 @@
-import importlib.util
 import os
 import pathlib
 import re
 import subprocess
 import sys
+
+import source_lines
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -41,10 +42,9 @@ def test_invariant_recipes_output_matches_golden():
 
 
 def test_source_lines_skips_blanks_comments_and_docstrings(tmp_path):
-    spec = importlib.util.spec_from_file_location("source_lines",
-                                                  ROOT / "scripts" / "source_lines.py")
-    source_lines = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(source_lines)
+    """What the script prints and counts; the modules each command shape
+    loads are the contract of ``tests/test_cli.py``, run through the same
+    probe."""
     path = tmp_path / "sample.py"
     path.write_text('"""Module\ndocstring."""\n\n# comment\nx = 1  # trailing\n\n\n'
                     'def f():\n    """One line."""\n    return "not a docstring"\n')
@@ -54,34 +54,25 @@ def test_source_lines_skips_blanks_comments_and_docstrings(tmp_path):
     assert run.returncode == 0, run.stderr
     first, *lines = run.stdout.splitlines()
     source = ROOT / "src" / "ulrichcert"
-    counts = [(path.relative_to(source), source_lines.count(path))
-              for path in sorted(source.rglob("*.py"))]
-    assert first == (f"src/ulrichcert: {sum(t for _, (t, _) in counts)} lines, "
-                     f"{sum(c for _, (_, c) in counts)} code lines")
-    modules, commands = lines[:len(counts)], lines[len(counts) + 1:]
-    assert modules == [f"  {module}: {t} lines, {c} code lines" for module, (t, c) in counts]
-    assert "  cli.py" in {line.split(":")[0] for line in modules}
-    assert lines[len(counts)] == ("modules that each command loads besides cli.py, "
-                                  "in a fresh interpreter:")
-    assert [line.split(" (exit")[0].strip() for line in commands] == [
-        " ".join(argv) for argv in source_lines.COMMANDS]
-    code = dict(counts)
-    read = sum(code[pathlib.Path(name)][1] for name in ("__init__.py", "documents.py", "labels.py"))
-    package = commands[-1].split("; ")[0]
-    assert package == (f"  descend cert.json (exit 8): 3 modules, {read} code lines: "
-                       "__init__.py documents.py labels.py")
-    added = {}
-    for line, argv in zip(commands, source_lines.COMMANDS):
-        _, stdlib, objects = line.split("; ")
-        count, names = stdlib.removeprefix("standard library +").split(": ")
-        added[argv[:2]] = set(names.split())
-        assert int(count) == len(added[argv[:2]])
-        before, at_exit = map(int, re.fullmatch(
-            r"gc-tracked objects (\d+) before import, (\d+) at exit", objects).groups())
-        assert 0 < before < at_exit, line
-        assert not added[argv[:2]] & {"argparse", "gettext", "locale", "datetime"}, line
-    assert {"json", "hashlib"} <= added[("descend", "cert.json")]
-    assert {"fractions", "json", "hashlib"} <= added[("certify", "--paper-defaults")]
-    for check in ("theta-check", "incidence", "even-eights", "horikawa"):
-        assert not added[("lattice", check)] & {"fractions", "decimal", "json"}
-    assert not added[("descend", "cert.json")] & {"fractions", "decimal"}
+    code = {path.relative_to(source): source_lines.count(path)
+            for path in sorted(source.rglob("*.py"))}
+    assert first == (f"src/ulrichcert: {sum(t for t, _ in code.values())} lines, "
+                     f"{sum(c for _, c in code.values())} code lines")
+    assert pathlib.Path("cli.py") in code
+    modules, commands = lines[:len(code)], lines[len(code) + 1:]
+    assert modules == [f"  {module}: {t} lines, {c} code lines" for module, (t, c) in code.items()]
+    assert lines[len(code)] == ("modules that each command loads besides cli.py, "
+                                "in a fresh interpreter:")
+    printed = {}
+    for line in commands:
+        shape, status, count, code_lines, names, number, added, before, at_exit = re.fullmatch(
+            r"  (.+) \(exit (\d+)\): (\d+) modules, (\d+) code lines: (.*); "
+            r"standard library \+(\d+): (.*); "
+            r"gc-tracked objects (\d+) before import, (\d+) at exit", line).groups()
+        printed[shape] = int(status)
+        loaded = [pathlib.Path(name) for name in names.split()]
+        assert pathlib.Path("cli.py") not in loaded and loaded == sorted(loaded), line
+        assert (int(count), int(code_lines)) == (len(loaded), sum(code[m][1] for m in loaded))
+        assert int(number) == len(set(added.split())), line
+        assert 0 < int(before) < int(at_exit), line
+    assert printed == {" ".join(argv): status for argv, status in source_lines.COMMANDS.values()}
