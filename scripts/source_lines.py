@@ -10,12 +10,15 @@ shows where its lines moved.
 Then one line per shape of ``COMMANDS``: its exit code, the package modules
 besides ``cli.py`` that a fresh interpreter running it loads, with their code
 lines (a process without a bytecode cache compiles each, so this is the
-repeatable count of a cold command's import work), the standard-library
-modules it adds to those the interpreter had once started, and the objects
-the garbage collector tracks before ``ulrichcert`` is imported and once the
-command has returned, which the collections of interpreter finalization
-would traverse had the process entry not frozen them. Standard library
-only::
+repeatable count of a cold command's import work), the bytecode those
+modules and ``cli.py`` compile to (the summed ``co_code`` length of every
+code object that ``compile()`` makes of them, under a file name that does
+not depend on the checkout, so it is fixed for one Python version), the
+standard-library modules it adds to those the interpreter had once started,
+and the objects the garbage collector tracks before ``ulrichcert`` is
+imported and once the command has returned, which the collections of
+interpreter finalization would traverse had the process entry not frozen
+them. Standard library only::
 
     python scripts/source_lines.py
 
@@ -32,6 +35,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import types
 from collections import namedtuple
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ulrichcert"
@@ -93,6 +97,20 @@ def count(path: pathlib.Path):
     return len(lines), code
 
 
+def bytecode_size(path: pathlib.Path) -> int:
+    """Summed ``co_code`` length of every code object that ``compile()``
+    makes of one package source, compiled as ``ulrichcert/<path>`` and
+    without this script's future flags."""
+    name = pathlib.PurePosixPath("ulrichcert", *path.relative_to(SOURCE).parts)
+    pending = [compile(path.read_text(), str(name), "exec", dont_inherit=True)]
+    size = 0
+    while pending:
+        code = pending.pop()
+        size += len(code.co_code)
+        pending.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return size
+
+
 def loaded_modules(argv=(), directory=None, module="ulrichcert.cli") -> Loaded:
     """What a fresh interpreter in ``directory`` loads by importing ``module``
     and then, unless ``argv`` is empty, running it through ``cli.main`` with
@@ -124,7 +142,8 @@ def main() -> None:
             print(f"  {' '.join(argv)} (exit {loaded.status}): {len(modules)} modules, "
                   f"{sum(counts[m][1] for m in modules)} code lines: "
                   + " ".join(map(str, modules))
-                  + f"; standard library +{len(added)}: " + " ".join(added)
+                  + f"; bytecode {sum(bytecode_size(SOURCE / m) for m in loaded.files)} bytes"
+                  + f" with cli.py; standard library +{len(added)}: " + " ".join(added)
                   + "; gc-tracked objects {} before import, {} at exit".format(*loaded.objects))
 
 

@@ -27,8 +27,13 @@ its report without the certify chain, and ``descend`` reads, checks and
 refuses a certificate through ``documents`` before it loads ``cohomology``
 for a body that records ``certified``.
 
-``nodes`` writes a report only where ``--out`` names one; a configuration's
-``[output] path`` names the certificate that ``certify`` writes.
+The inputs of a run are read through one table, ``INPUTS``: its defaults
+(``--paper-defaults``), then a config file's keys, then ``--prime`` and
+``--out``. ``nodes`` and ``certify`` build the curve and the quartic from
+them through ``kummer.read_surface``, and ``descend`` rebuilds a certified
+body through the same reader. ``nodes`` writes a report only where ``--out``
+names one; a configuration's ``[output] path`` names the certificate that
+``certify`` writes.
 
 The command line is read against one table, ``COMMANDS``, rather than with
 ``argparse``, which with ``gettext`` and ``locale`` would cost every cold
@@ -63,36 +68,22 @@ EXIT_UNCERTIFIED = 8
 EXIT_INTEGRITY = 9
 
 
-class RunConfig:
-    def __init__(self, prime: int = DEFAULT_PRIME, roots: tuple = DEFAULT_ROOTS,
-                 quartic_source: str = "corpus:kummer_quartic", recipe_kind: str = TWELVE_NODES,
-                 recipe_labels: tuple = tuple(node_token(label) for label in DEFAULT_TWELVE),
-                 out_path: str | None = None):
-        self.prime = prime
-        self.roots = roots
-        self.quartic_source = quartic_source
-        self.recipe_kind = recipe_kind
-        self.recipe_labels = recipe_labels
-        self.out_path = out_path
-
-    def curve(self):
-        from .kummer import Genus2Curve
-        return Genus2Curve(self.roots)
-
-    def domain(self):
-        from .fields import PrimeField
-        return PrimeField(self.prime)
-
-    def quartic(self):
-        from .kummer import read_quartic
-        return read_quartic(self.quartic_source, self.domain())
-
-    def recipe(self):
-        from .picard import checked_recipe
-        return checked_recipe(self.recipe_kind, self.recipe_labels)
+# INI key -> (section, reader of its text, default): the inputs of a run. They
+# are read as the defaults, then a config file's keys, then --prime and --out;
+# configparser has already stripped the text of a key, but not of a flag
+INPUTS = {
+    "prime": ("surface", lambda text: parse_number(text, "prime", integer=True), DEFAULT_PRIME),
+    "roots": ("surface", lambda text: tuple(text.split(",")), DEFAULT_ROOTS),
+    "quartic": ("surface", str, "corpus:kummer_quartic"),
+    "recipe": ("bundle", str, TWELVE_NODES),
+    "labels": ("bundle", lambda text: tuple(token.strip() for token in text.split(",")),
+               tuple(node_token(label) for label in DEFAULT_TWELVE)),
+    "path": ("output", str, None),
+}
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str) -> dict:
+    """The inputs that the config file at ``path`` gives, by INI key."""
     import configparser
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
@@ -101,53 +92,34 @@ def load_config(path: str) -> RunConfig:
         raise ValueError(f"malformed config file {path!r}: {exc}") from None
     if not read:
         raise ValueError(f"cannot read config file {path!r}")
-    cfg = RunConfig()
-    if parser.has_section("surface"):
-        section = parser["surface"]
-        if "prime" in section:
-            cfg.prime = parse_number(section["prime"], "prime", integer=True)
-        if "roots" in section:
-            cfg.roots = tuple(section["roots"].split(","))
-        if "quartic" in section:
-            cfg.quartic_source = section["quartic"].strip()
-    if parser.has_section("bundle"):
-        section = parser["bundle"]
-        if "recipe" in section:
-            cfg.recipe_kind = section["recipe"].strip()
-        if "labels" in section:
-            cfg.recipe_labels = tuple(tok.strip() for tok in section["labels"].split(","))
-    if parser.has_section("output") and "path" in parser["output"]:
-        cfg.out_path = parser["output"]["path"].strip()
-        if not cfg.out_path:
-            raise ValueError(f"empty [output] path in config file {path!r}")
-    return cfg
+    given = {key: reader(parser[section][key])
+             for key, (section, reader, _) in INPUTS.items() if parser.has_option(section, key)}
+    if given.get("path") == "":
+        raise ValueError(f"empty [output] path in config file {path!r}")
+    return given
 
 
-def _resolve_config(args) -> RunConfig:
+def _resolve_config(args) -> dict:
     if args.config and args.paper_defaults:
         raise ValueError("give either --config or --paper-defaults, not both")
-    if args.config:
-        cfg = load_config(args.config)
-    elif args.paper_defaults:
-        cfg = RunConfig()
-    else:
+    if not (args.config or args.paper_defaults):
         raise ValueError("a configuration is required: --config PATH or --paper-defaults")
-    if args.prime is not None:
-        cfg.prime = parse_number(args.prime, "prime", integer=True)
-    if args.out is not None:
-        cfg.out_path = args.out
-    return cfg
+    run = {key: default for key, (_, _, default) in INPUTS.items()}
+    if args.config:
+        run.update(load_config(args.config))
+    for key, value in (("prime", args.prime), ("path", args.out)):
+        if value is not None:
+            run[key] = INPUTS[key][1](value)
+    return run
 
 
 def _cmd_nodes(args) -> int:
     from . import kummer
-    from .fields import QQ
-    cfg = _resolve_config(args)
-    curve = cfg.curve()
-    quartic = cfg.quartic()
+    run = _resolve_config(args)
+    curve, quartic = kummer.read_surface(run["prime"], run["roots"], run["quartic"])
     report = kummer.verify_sixteen_nodes(quartic, curve)
-    rational = kummer.all_node_points(curve, QQ)
-    print(f"sixteen nodes of the degree-4 model (prime {cfg.prime}):")
+    rational = kummer.all_node_points(curve)
+    print(f"sixteen nodes of the degree-4 model (prime {run['prime']}):")
     for label, point in rational.items():
         residues = report.points[label].coordinates
         print(f"  {node_token(label):>4}  ({':'.join(str(c) for c in point.coordinates)})"
@@ -156,7 +128,7 @@ def _cmd_nodes(args) -> int:
     if args.out:
         from .documents import write_json_atomic
         body = {
-            "prime": cfg.prime,
+            "prime": run["prime"],
             "roots": [str(r) for r in curve.roots],
             "nodes": [
                 {"label": node_token(label),
@@ -171,10 +143,13 @@ def _cmd_nodes(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from . import cohomology
-    cfg = _resolve_config(args)
-    cert = cohomology.certify_ulrich(cfg.curve(), cfg.quartic(), cfg.recipe())
-    out_path = cfg.out_path or "ulrich_certificate.json"
+    from . import cohomology, kummer
+    from .picard import checked_recipe
+    run = _resolve_config(args)
+    cert = cohomology.certify_ulrich(
+        *kummer.read_surface(run["prime"], run["roots"], run["quartic"]),
+        checked_recipe(run["recipe"], run["labels"]))
+    out_path = run["path"] or "ulrich_certificate.json"
     cohomology.write_certificate(out_path, cert)
     for record in cert.checks:
         print(f"  [{'pass' if record.passed else 'FAIL'}] {record.name}: {record.value}")
@@ -303,7 +278,7 @@ def parse_args(argv) -> SimpleNamespace | None:
     Flags are spelled in full, as ``--flag value`` or ``--flag=value``, before
     or after the positionals; a repeated flag keeps its last value. Every
     token that starts with ``-`` is a flag, so no value or positional does,
-    and an empty value counts as no value.
+    and a value that is empty or only whitespace counts as no value.
     """
     if not argv:
         raise UsageError("a command is required")
@@ -333,7 +308,7 @@ def parse_args(argv) -> SimpleNamespace | None:
         else:
             if not eq:
                 value = next(tokens, "")
-            if not value or (not eq and value.startswith("-")):
+            if not value.strip() or (not eq and value.startswith("-")):
                 raise UsageError(f"flag {flag} needs a value")
         values[flag[2:].replace("-", "_")] = value
     if len(given) != len(positionals):

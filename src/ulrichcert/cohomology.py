@@ -29,8 +29,7 @@ from .documents import (CERTIFICATE_FORMAT, CertificateIntegrityError,
                         UncertifiedCertificateError, _canonical, _digest, _document,
                         certified_body, write_json_atomic)
 from .enriques import JUSTIFICATIONS, descent_report
-from .fields import QQ, PrimeField
-from .kummer import Genus2Curve, read_quartic, verify_sixteen_nodes
+from .kummer import Genus2Curve, read_surface, verify_sixteen_nodes
 from .labels import node_token
 from .linalg import kernel_basis
 from .picard import (BundleRecipe, HALF_EVEN_EIGHT, PolarizedSurfaceParams, build_theta_star,
@@ -346,12 +345,13 @@ def descend_to_enriques(cert: UlrichCertificate) -> dict:
 def _rebuild(body: dict) -> UlrichCertificate:
     """``certify_ulrich`` run on the curve, quartic, recipe and parameters that
     a certificate body records, each read as a run reads it; inputs that
-    cannot be read or run are ``CertificateIntegrityError``."""
+    cannot be read or run are ``CertificateIntegrityError``. The surface is
+    read through ``kummer.read_surface`` and the recipe through
+    ``picard.checked_recipe``, as ``certify`` reads them."""
     try:
         surface = body["surface"]
-        domain = QQ if surface["prime"] is None else PrimeField(surface["prime"])
-        return certify_ulrich(Genus2Curve(surface["roots"]),
-                              read_quartic("inline:" + surface["quartic"], domain),
+        return certify_ulrich(*read_surface(surface["prime"], surface["roots"],
+                                            "inline:" + surface["quartic"]),
                               checked_recipe(body["recipe"]["kind"], body["recipe"]["labels"]),
                               PolarizedSurfaceParams(body["parameters"]["s"]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

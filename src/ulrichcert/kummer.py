@@ -13,9 +13,12 @@ it is cross-validated, never derived: every formula-produced point must be a
 singular point of the quartic, the sixteen points must be pairwise distinct,
 and the singular locus must have codimension 3 and degree 16.
 
-``read_quartic`` is the one reader of a run's quartic, ``corpus:<name>`` or
-``inline:<poly>``. The corpus is the bundled ``corpus`` directory, or the one
-that the ULRICHCERT_CORPUS environment variable names.
+``read_surface`` is the one reader of a run's surface: its prime picks the
+field, GF(p) or QQ, its roots give the curve, and ``read_quartic`` reads its
+quartic, ``corpus:<name>`` or ``inline:<poly>``, over that field. The
+command line and ``descend``'s rebuild of a certificate both read through
+it. The corpus is the bundled ``corpus`` directory, or the one that the
+ULRICHCERT_CORPUS environment variable names.
 """
 from __future__ import annotations
 
@@ -137,6 +140,14 @@ def read_quartic(source: str, domain) -> Poly:
         raise ValueError(f"the quartic is not a nonzero form of degree 4 (term "
                          f"degrees found: {', '.join(map(str, degrees)) or 'none'})")
     return quartic
+
+
+def read_surface(prime, roots, source: str):
+    """The curve and quartic of a run: ``Genus2Curve(roots)``, then the
+    quartic that ``read_quartic`` reads from ``source`` over GF(prime), or
+    over QQ where ``prime`` is None."""
+    curve = Genus2Curve(roots)
+    return curve, read_quartic(source, QQ if prime is None else PrimeField(prime))
 
 
 def verify_node(quartic: Poly, point: ProjectivePoint) -> bool:

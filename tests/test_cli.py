@@ -1,4 +1,5 @@
 import datetime
+from fractions import Fraction
 import functools
 import gc
 import hashlib
@@ -12,8 +13,10 @@ import sys
 import pytest
 
 import ulrichcert
-from ulrichcert import cli, kummer
+from ulrichcert import cli, cohomology, kummer
 from ulrichcert.cohomology import descend_to_enriques, write_certificate
+from ulrichcert.fields import QQ, PrimeField
+from ulrichcert.labels import DEFAULT_PRIME, DEFAULT_ROOTS, DEFAULT_TWELVE, TWELVE_NODES, node_token
 
 import source_lines
 
@@ -39,6 +42,17 @@ def write_config(path, prime=32003, roots="1, -1, 2, -2, 3, -3",
         lines += ["", "[output]", f"path = {out}"]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def readme_sample():
+    """The INI block of the README, verbatim."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"^```ini\n(.*?)^```$", readme, re.M | re.S).group(1)
+
+
+BUNDLED_QUARTIC = "".join(
+    (pathlib.Path(kummer.__file__).resolve().parent / "corpus" / "kummer_quartic.txt")
+    .read_text().split())
 
 
 def test_nodes_paper_defaults(capsys):
@@ -289,11 +303,16 @@ def test_lattice_subcommands(capsys):
     (["nodes", "--paper-defaults", "--out", ""], "flag --out needs a value"),
     (["descend", "cert.json", "--out", ""], "flag --out needs a value"),
     (["nodes", "--config", ""], "flag --config needs a value"),
+    (["certify", "--paper-defaults", "--out", " "], "flag --out needs a value"),
+    (["certify", "--paper-defaults", "--out= "], "flag --out needs a value"),
+    (["nodes", "--config", " "], "flag --config needs a value"),
+    (["descend", "C", "--out", " "], "flag --out needs a value"),
 ], ids=["no-command", "unknown-command", "unknown-flag", "abbreviated-flag",
         "flag-of-another-command", "flag-without-value", "flag-followed-by-flag",
         "dash-value", "switch-with-value", "unknown-lattice-check", "missing-positional",
         "extra-positional", "missing-certificate", "positional-for-nodes", "empty-value",
-        "empty-equals-value", "empty-nodes-out", "empty-descend-out", "empty-config"])
+        "empty-equals-value", "empty-nodes-out", "empty-descend-out", "empty-config",
+        "blank-value", "blank-equals-value", "blank-config", "blank-descend-out"])
 def test_usage_errors_return_exit_two_with_usage_on_stderr(tmp_path, monkeypatch, capsys, argv,
                                                           message):
     monkeypatch.chdir(tmp_path)
@@ -443,20 +462,37 @@ def test_descend_on_tampered_certificate(tmp_path, capsys, certified_path):
 
 
 def test_config_file_round_trip(tmp_path):
-    cfg_path = write_config(tmp_path / "c.cfg", out="somewhere.json")
-    cfg = cli.load_config(cfg_path)
-    assert cfg.prime == 32003
-    assert cfg.recipe_kind == "twelve-nodes"
-    assert len(cfg.recipe_labels) == 12
-    assert cfg.out_path == "somewhere.json"
-    assert cfg.quartic().total_degree() == 4
+    run = cli.load_config(write_config(tmp_path / "c.cfg", out="somewhere.json"))
+    assert set(run) == set(cli.INPUTS)
+    assert run["prime"] == 32003
+    assert run["recipe"] == "twelve-nodes"
+    assert len(run["labels"]) == 12
+    assert run["path"] == "somewhere.json"
+    curve, quartic = kummer.read_surface(run["prime"], run["roots"], run["quartic"])
+    assert curve == kummer.default_curve() and quartic.total_degree() == 4
+
+
+def test_run_inputs_are_read_as_defaults_then_the_file_then_the_flags(tmp_path):
+    """One table reads every input of a run: a key the file leaves out keeps
+    its default, and --prime and --out override the file; a flag's text is
+    read as given, so --out keeps its spaces."""
+    defaults = {key: default for key, (_, _, default) in cli.INPUTS.items()}
+    assert defaults == {"prime": DEFAULT_PRIME, "roots": DEFAULT_ROOTS,
+                        "quartic": "corpus:kummer_quartic", "recipe": TWELVE_NODES,
+                        "labels": tuple(map(node_token, DEFAULT_TWELVE)), "path": None}
+    assert cli._resolve_config(cli.parse_args(["nodes", "--paper-defaults"])) == defaults
+    path = tmp_path / "c.cfg"
+    path.write_text("[surface]\nprime = 7\n\n[bundle]\nlabels = E0 ,E12\n\n[extra]\nroots = 1\n")
+    assert cli.load_config(str(path)) == {"prime": 7, "labels": ("E0", "E12")}
+    args = cli.parse_args(["nodes", "--config", str(path), "--prime", " 11", "--out", " o.json"])
+    assert cli._resolve_config(args) == dict(defaults, prime=11, labels=("E0", "E12"),
+                                             path=" o.json")
 
 
 def test_readme_sample_config_certifies_like_paper_defaults(tmp_path, capsys):
     """The README's INI block, read verbatim: its ``; or ...`` comments once
     became part of the corpus name and the recipe, so the run exited 2."""
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    sample = re.search(r"^```ini\n(.*?)^```$", readme, re.M | re.S).group(1)
+    sample = readme_sample()
     assert "; or inline:" in sample
     cfg = tmp_path / "sample.cfg"
     cfg.write_text(sample)
@@ -467,6 +503,28 @@ def test_readme_sample_config_certifies_like_paper_defaults(tmp_path, capsys):
         bodies.append(json.loads(out.read_text())["body"])
     assert bodies[0] == bodies[1]
     assert cli.main(["nodes", "--config", str(cfg)]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("config, exit_code", [
+    (None, cli.EXIT_EFFECTIVITY),
+    ({"quartic": "inline:" + BUNDLED_QUARTIC}, cli.EXIT_EFFECTIVITY),
+    ({"roots": "3/2, 2, 3, 4, 5, 6"}, cli.EXIT_NODES),
+    ({"recipe": "half-even-eight", "labels": REMARK_LABELS}, cli.EXIT_EVEN_EIGHT),
+], ids=["readme-sample", "inline-quartic", "fractional-roots", "half-even-eight"])
+def test_descend_rebuilds_each_input_form_as_certify_read_it(tmp_path, capsys, config,
+                                                             exit_code):
+    """``descend`` concludes only on a body that its rebuild reproduces, so
+    the body that ``certify --config`` writes must be the one the rebuild
+    makes of its inputs, whatever form the configuration gave them in."""
+    path = tmp_path / "c.cfg"
+    if config is None:
+        path.write_text(readme_sample())
+    else:
+        write_config(path, **config)
+    out = tmp_path / "cert.json"
+    assert cli.main(["certify", "--config", str(path), "--out", str(out)]) == exit_code
+    body = json.loads(out.read_text())["body"]
+    assert cohomology.certificate_body(cohomology._rebuild(body)) == body
 
 
 def test_unreadable_config_rejected(tmp_path):
@@ -489,12 +547,20 @@ def test_config_errors_name_the_file_and_write_nothing(tmp_path, monkeypatch, ca
     assert [path.name for path in tmp_path.iterdir()] == ["c.cfg"]
 
 
-def test_inline_quartic_source(tmp_path):
-    cfg = cli.RunConfig(quartic_source="inline:X^4+Y^4+Z^4+W^4")
-    assert cfg.quartic().total_degree() == 4
-    bad = cli.RunConfig(quartic_source="surprise:X")
-    with pytest.raises(ValueError):
-        bad.quartic()
+def test_inline_quartic_source():
+    """``kummer.read_surface`` reads a quartic over GF(prime), or over QQ
+    where the prime is None, as certify, nodes and descend's rebuild do."""
+    for prime, domain in ((7, PrimeField(7)), (None, QQ)):
+        curve, quartic = kummer.read_surface(prime, ["1/2", 1, 2, 3, 4, 5],
+                                             "inline:X^4+Y^4+Z^4+W^4")
+        assert curve.roots == (Fraction(1, 2), 1, 2, 3, 4, 5)
+        assert quartic.total_degree() == 4 and quartic.ring.domain == domain
+    for prime, roots, source, message in (
+            (7, DEFAULT_ROOTS, "surprise:X", "quartic source must be corpus:<name>"),
+            (4, DEFAULT_ROOTS, "inline:X^4", "modulus 4 is not prime"),
+            (7, DEFAULT_ROOTS[:5], "inline:X^4", "exactly six Weierstrass roots")):
+        with pytest.raises(ValueError, match=message):
+            kummer.read_surface(prime, roots, source)
 
 
 NON_INVARIANT_LABELS = ["E0", "E12", "E13", "E14", "E15", "E16",

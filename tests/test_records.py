@@ -5,13 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from ulrichcert.cli import RunConfig
 from ulrichcert.cohomology import CheckRecord, UlrichCertificate
 from ulrichcert.enriques import DescentInference
 from ulrichcert.fields import PrimeField
 from ulrichcert.groebner import GroebnerBasis
 from ulrichcert.kummer import Genus2Curve, NodeVerification
-from ulrichcert.labels import DEFAULT_PRIME, DEFAULT_ROOTS, TWELVE_NODES, node_token
 from ulrichcert.lattices import LatticeGram
 from ulrichcert.picard import DEFAULT_TWELVE, HALF_EVEN_EIGHT, BundleRecipe, PolarizedSurfaceParams
 from ulrichcert.polynomials import PolyRing
@@ -77,16 +75,6 @@ def test_records_share_no_mutable_state():
 
 
 def test_mutable_records_construction():
-    cfg = RunConfig(7, (1, 2, 3, 4, 5, 6), "inline:X^4", HALF_EVEN_EIGHT, ("E0",), "out.json")
-    assert vars(cfg) == vars(RunConfig(**vars(cfg))) == {
-        "prime": 7, "roots": (1, 2, 3, 4, 5, 6), "quartic_source": "inline:X^4",
-        "recipe_kind": HALF_EVEN_EIGHT, "recipe_labels": ("E0",), "out_path": "out.json"}
-    assert vars(RunConfig()) == {
-        "prime": DEFAULT_PRIME, "roots": DEFAULT_ROOTS, "quartic_source": "corpus:kummer_quartic",
-        "recipe_kind": TWELVE_NODES, "recipe_labels": tuple(map(node_token, DEFAULT_TWELVE)),
-        "out_path": None}
-    cfg.prime = 5
-    assert cfg.prime == 5
     cert = UlrichCertificate(5, ("1",), "X^4", BundleRecipe(), 4, {"passed": True})
     assert vars(cert) == vars(UlrichCertificate(**vars(cert))) == {
         "prime": 5, "roots": ("1",), "quartic_text": "X^4", "recipe": BundleRecipe(), "s": 4,

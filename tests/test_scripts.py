@@ -41,6 +41,12 @@ def test_invariant_recipes_output_matches_golden():
     assert recipes.stdout == golden
 
 
+def co_code_length(code) -> int:
+    """``co_code`` length of a code object and of every one nested in it."""
+    return len(code.co_code) + sum(co_code_length(const) for const in code.co_consts
+                                   if isinstance(const, type(code)))
+
+
 def test_source_lines_skips_blanks_comments_and_docstrings(tmp_path):
     """What the script prints and counts; the modules each command shape
     loads are the contract of ``tests/test_cli.py``, run through the same
@@ -63,16 +69,26 @@ def test_source_lines_skips_blanks_comments_and_docstrings(tmp_path):
     assert modules == [f"  {module}: {t} lines, {c} code lines" for module, (t, c) in code.items()]
     assert lines[len(code)] == ("modules that each command loads besides cli.py, "
                                 "in a fresh interpreter:")
+    # the bytecode of each module, which neither the file name it is compiled
+    # under nor this file's future flags change
+    size = {}
+    for module in code:
+        text = (source / module).read_text()
+        size[module] = co_code_length(compile(text, f"ulrichcert/{module}", "exec",
+                                              dont_inherit=True))
+        assert size[module] == co_code_length(compile(text, str(source / module), "exec"))
     printed = {}
     for line in commands:
-        shape, status, count, code_lines, names, number, added, before, at_exit = re.fullmatch(
+        (shape, status, count, code_lines, names, bytecode, number, added, before,
+         at_exit) = re.fullmatch(
             r"  (.+) \(exit (\d+)\): (\d+) modules, (\d+) code lines: (.*); "
-            r"standard library \+(\d+): (.*); "
+            r"bytecode (\d+) bytes with cli.py; standard library \+(\d+): (.*); "
             r"gc-tracked objects (\d+) before import, (\d+) at exit", line).groups()
         printed[shape] = int(status)
         loaded = [pathlib.Path(name) for name in names.split()]
         assert pathlib.Path("cli.py") not in loaded and loaded == sorted(loaded), line
         assert (int(count), int(code_lines)) == (len(loaded), sum(code[m][1] for m in loaded))
+        assert int(bytecode) == sum(size[m] for m in loaded) + size[pathlib.Path("cli.py")]
         assert int(number) == len(set(added.split())), line
         assert 0 < int(before) < int(at_exit), line
     assert printed == {" ".join(argv): status for argv, status in source_lines.COMMANDS.values()}
