@@ -85,7 +85,8 @@ INPUTS = {
 def load_config(path: str) -> dict:
     """The inputs that the config file at ``path`` gives, by INI key."""
     import configparser
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    # no interpolation: a '%' in a value is read literally
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
         read = parser.read(path)
     except (configparser.Error, UnicodeDecodeError) as exc:

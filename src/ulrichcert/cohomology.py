@@ -35,7 +35,7 @@ from .linalg import kernel_basis
 from .picard import (BundleRecipe, HALF_EVEN_EIGHT, PolarizedSurfaceParams, build_theta_star,
                      checked_recipe, chi_k3, doubled_support, even_eight_test,
                      format_divisor, is_invariant, pairing, polarization)
-from .polynomials import Poly, format_polynomial, monomial_basis, power_product
+from .polynomials import Poly, format_polynomial, monomial_basis, power_table
 
 
 class UnsupportedShapeError(ValueError):
@@ -50,8 +50,10 @@ def evaluation_matrix(d: int, points):
     """Rows indexed by points, columns by the degree-d monomial basis, and
     the points' scalar domain (None if there are no points).
 
-    The points must be pairwise distinct and live in one scalar domain, the
-    field that every computation on the rows is over.
+    The points must be pairwise distinct points of P^3 (a point of another
+    dimension is a ``ValueError`` naming it) and live in one scalar domain,
+    the field that every computation on the rows is over. Each row reads the
+    point's ``power_table``.
     """
     points = list(points)
     if len(set(points)) != len(points):
@@ -62,7 +64,12 @@ def evaluation_matrix(d: int, points):
     for pt in points:
         if pt.domain != domain:
             raise ValueError("points live in different scalar domains")
-        rows.append([power_product(pt.coordinates, mon, domain) for mon in mons])
+        if len(pt.coordinates) != 4:
+            raise ValueError(f"point dimension {len(pt.coordinates)} does not match the "
+                             "4 variables of P^3")
+        coerce = domain.coerce
+        t0, t1, t2, t3 = power_table(pt.coordinates, d)
+        rows.append([coerce(t0[a] * t1[b] * t2[c] * t3[e]) for a, b, c, e in mons])
     return rows, mons, domain
 
 
@@ -76,12 +83,17 @@ def section_basis(d: int, points, ring) -> list:
     """Polynomials of ``ring`` spanning the degree-d forms through the points.
 
     The forms are solved for over the points' field, so ``ring`` must be over
-    that field: a ring over another field is a ``ValueError`` naming both.
+    that field and in four variables: any other ring is a ``ValueError``
+    naming what does not match.
     """
+    if ring.nvars != 4:
+        raise ValueError(f"forms through points of P^3 need a ring in 4 variables, "
+                         f"not {ring.nvars}")
     rows, mons, domain = evaluation_matrix(d, points)
     if domain not in (None, ring.domain):
         raise ValueError(f"the points lie over {domain!r} but the ring is over {ring.domain!r}")
-    return [ring.poly({m: c for m, c in zip(mons, vec) if c})
+    # kernel_basis returns coerced entries, so the nonzero ones are normal terms
+    return [Poly(ring, {m: c for m, c in zip(mons, vec) if c})
             for vec in kernel_basis(rows, len(mons), ring.domain)]
 
 

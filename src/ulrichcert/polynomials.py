@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 import itertools
 import math
-from operator import index
+from operator import getitem, index
 import re
 
 from .labels import join_terms, split_terms
@@ -60,7 +60,14 @@ class PolyRing(namedtuple("PolyRing", "variables domain")):
 
 
 class Poly:
-    """Immutable sparse polynomial; construct through PolyRing.poly."""
+    """Immutable sparse polynomial; construct through PolyRing.poly.
+
+    Two callers build one directly, because their terms are already coerced,
+    distinct and nonzero, and checking them again would cost more than
+    producing them: ``groebner._poly`` for every element of every basis the
+    Groebner kernel returns, and ``cohomology.section_basis`` for every kernel
+    vector of the evaluation matrix.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -136,12 +143,22 @@ class Poly:
             coords = [dom.coerce(x) for x in point]
         if len(coords) != self.ring.nvars:
             raise ValueError("point dimension does not match variable count")
-        return dom.coerce(sum(c * power_product(coords, m, dom) for m, c in self.terms.items()))
+        table = power_table(coords, max(map(sum, self.terms), default=0))
+        return dom.coerce(sum(c * math.prod(map(getitem, table, m))
+                              for m, c in self.terms.items()))
 
 
-def power_product(coords, mon: Monomial, domain):
-    """The monomial mon evaluated at coords."""
-    return domain.coerce(math.prod(x ** e for x, e in zip(coords, mon)))
+def power_table(coords, d: int):
+    """``[1, x, ..., x^d]`` for each coordinate x, so that a monomial of
+    degree at most d evaluates at coords to the product of one entry per
+    coordinate. The entries are exact powers, not reduced into a domain."""
+    table = []
+    for x in coords:
+        row = [1]
+        for _ in range(d):
+            row.append(row[-1] * x)
+        table.append(row)
+    return table
 
 
 def partial_derivatives(f: Poly):

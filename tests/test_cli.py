@@ -115,15 +115,27 @@ def test_nodes_zero_denominator_root_is_config_error(tmp_path, capsys):
      "invalid prime '\u0663\u0662\u0660\u0660\u0663'"),
     ("[surface]\nprime = 32_003\n", "invalid prime '32_003'"),
     ("[surface]\nroots = \u0661, -1, 2, -2, 3, -3\n", "invalid root '\u0661'"),
+    ("[surface]\nroots = 1, %(x)s\n", "invalid root '%(x)s'"),
 ], ids=["no-section-header", "duplicate-option", "non-integer-prime", "doubled-sign",
         "trailing-sign", "root-with-denominator-p", "arabic-indic-prime", "underscored-prime",
-        "arabic-indic-root"])
+        "arabic-indic-root", "interpolation-root"])
 def test_nodes_malformed_ini_is_config_error(tmp_path, capsys, text, message):
     path = tmp_path / "c.cfg"
     path.write_text(text)
     assert cli.main(["nodes", "--config", str(path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "Traceback" not in err and message in err
+
+
+def test_config_values_are_read_literally(tmp_path, capsys):
+    """A '%' once started configparser's interpolation, so this path ended
+    in a traceback and exit 1 from both commands."""
+    out = tmp_path / "a%b.json"
+    cfg = write_config(tmp_path / "c.cfg", out=str(out))
+    assert cli.main(["nodes", "--config", cfg]) == cli.EXIT_OK
+    assert cli.main(["certify", "--config", cfg]) == cli.EXIT_EFFECTIVITY
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["body"]["verdict"] == "refuted"
 
 
 @pytest.mark.parametrize("labels, message", [

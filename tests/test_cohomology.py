@@ -22,7 +22,7 @@ from ulrichcert.kummer import (all_node_points, default_curve, load_corpus_quart
 from ulrichcert.labels import NODE_LABELS, node_token
 from ulrichcert.picard import (BundleRecipe, DEFAULT_TWELVE, HALF_EVEN_EIGHT,
                                even_eight_test, hyperplane_class, node_class, polarization)
-from ulrichcert.polynomials import ProjectivePoint, partial_derivatives
+from ulrichcert.polynomials import PolyRing, ProjectivePoint, partial_derivatives
 
 FOUR = ((2, 3), (2, 5), (3, 4), (4, 5))
 REMARK_EIGHT = ((1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6))
@@ -427,14 +427,29 @@ def test_descend_names_the_check_a_certified_body_misstates(certified):
 def test_section_basis_refuses_a_ring_over_another_field(nodes):
     """The forms are solved for over the points' field. A ring over QQ,
     GF(101) or GF(7) once found no quadric through the twelve recipe nodes
-    over GF(32003), where there is one."""
+    over GF(32003), where there is one.
+
+    The forms are also forms on P^3: points of P^2 were once cut to their
+    first coordinates' monomials (two of them gave two planes), and a ring
+    in three variables is refused too, since no check of its terms follows."""
+    gf = nodes[(2, 3)].domain
     twelve = [nodes[l] for l in DEFAULT_TWELVE]
+    plane = [ProjectivePoint(gf, (1, 0, 0)), ProjectivePoint(gf, (0, 1, 0))]
     assert h0_forms_through_points(2, twelve) == 1
-    assert len(section_basis(2, twelve, quartic_ring(twelve[0].domain))) == 1
-    for other in (QQ, PrimeField(101), PrimeField(7)):
-        with pytest.raises(ValueError, match=r"^the points lie over GF\(32003\) but the ring is "
-                                             f"over {re.escape(repr(other))}$"):
-            section_basis(2, twelve, quartic_ring(other))
+    assert len(section_basis(2, twelve, quartic_ring(gf))) == 1
+    refusals = [(2, twelve, quartic_ring(other),
+                 rf"the points lie over GF\(32003\) but the ring is over {re.escape(repr(other))}")
+                for other in (QQ, PrimeField(101), PrimeField(7))]
+    refusals += [
+        (1, plane, quartic_ring(gf), "point dimension 3 does not match the 4 variables of P\\^3"),
+        (1, twelve[:2], PolyRing(("X", "Y", "Z"), gf),
+         "forms through points of P\\^3 need a ring in 4 variables, not 3"),
+    ]
+    for d, points, ring, message in refusals:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            section_basis(d, points, ring)
+    with pytest.raises(ValueError, match="^point dimension 3 does not match "):
+        h0_forms_through_points(1, plane)
 
 
 NODES_OVER = {domain: all_node_points(default_curve(), domain)

@@ -3,9 +3,9 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ulrichcert.cohomology import section_basis
+from ulrichcert.cohomology import evaluation_matrix, section_basis
 from ulrichcert.fields import QQ, PrimeField
 from ulrichcert.groebner import buchberger, normal_form, s_polynomial
 from ulrichcert.labels import join_terms, split_terms
@@ -169,6 +169,53 @@ def test_arithmetic_results_stay_normalised(ring, t1, t2, point, rows):
     tails = echelon([dict(enumerate(row)) for row in rows], dom).values()
     assert all(c and _normalised(c, dom) for tail in tails for c in tail.values())
     assert all(_normalised(x, dom) for vec in kernel_basis(rows, 4, dom) for x in vec)
+
+
+def _per_term_value(terms, coords, domain):
+    """The reference evaluator: a sum of coefficient times x**e per term."""
+    total = 0
+    for mon, c in terms.items():
+        value = c
+        for x, e in zip(coords, mon):
+            value *= x ** e
+        total += value
+    return domain.coerce(total)
+
+
+st_coordinate = st.one_of(st.just(0), st.integers(-40, 40),
+                          st.fractions(-20, 20, max_denominator=9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((RING, RING_Q)),
+       st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in range(4))),
+                       st.one_of(st.integers(-50, 50), st.fractions(-9, 9, max_denominator=5)),
+                       max_size=6),
+       st.lists(st.tuples(*(st_coordinate for _ in range(4))), min_size=1, max_size=5),
+       st.integers(0, 3))
+@example(RING, {}, [(0, 0, 0, 1)], 0)                                  # the zero polynomial
+@example(RING_Q, {(0, 0, 0, 0): 7}, [(0, 0, 0, 0), (0, 5, 0, 2)], 1)  # a constant
+@example(RING, {(3, 0, 0, 0): 2, (0, 1, 0, 0): -1, (0, 0, 0, 0): 4},  # not homogeneous
+         [(0, 3, 0, 0), (2, 0, Fraction(1, 3), 0)], 3)
+def test_one_evaluator_matches_per_term_powers(ring, terms, raw_points, d):
+    """``Poly.evaluate`` and the rows of ``evaluation_matrix`` read one power
+    table; both must equal a plain product of x**e per term, at points with
+    zero coordinates too. The forms that ``section_basis`` builds straight
+    from the kernel's entries must be what ``PolyRing.poly`` would build."""
+    dom = ring.domain
+    f = ring.poly(terms)
+    for raw in raw_points:
+        coords = [dom.coerce(x) for x in raw]
+        assert f.evaluate(raw) == _per_term_value(f.terms, coords, dom)
+    points = list(dict.fromkeys(ProjectivePoint(dom, raw) for raw in raw_points
+                                if any(dom.coerce(x) for x in raw)))
+    for pt in points:
+        assert f.evaluate(pt) == _per_term_value(f.terms, pt.coordinates, dom)
+    rows, mons, _ = evaluation_matrix(d, points)
+    assert rows == [[_per_term_value({m: 1}, pt.coordinates, dom) for m in mons]
+                    for pt in points]
+    for g in section_basis(d, points, ring):
+        assert g == ring.poly(g.terms)
 
 
 def test_euler_relation_on_quartic(quartic):
